@@ -55,8 +55,11 @@ EXIT_NUMERICAL = 4
 
 
 def fmt(x: float) -> str:
-    """17 significant digits: shortest text that round-trips float64."""
-    return format(float(x), ".17g")
+    """17 significant digits: shortest text that round-trips float64.
+
+    Adding 0.0 turns negative zero into 0, so no cell reads "-0".
+    """
+    return format(float(x) + 0.0, ".17g")
 
 
 def dumps(obj) -> str:

@@ -1,17 +1,18 @@
 """Dense SPD linear algebra and the special functions behind the closed forms.
 
-Everything here is deterministic: the Jacobi eigensolver sweeps the upper
-triangle in a fixed order, and quadrature fallbacks accumulate in a fixed
-order, so repeated runs produce bit-identical results.
+Eigenpairs come from one LAPACK ``eigh`` call per user matrix, with each
+eigenvector's sign fixed so that repeated runs report the same maximizing
+direction. Gamma factors come from the standard library. The Duhamel time
+integral has a closed form for every sign of the reaction rate.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import (
     AsymmetricInput,
@@ -20,6 +21,7 @@ from .errors import (
     NotPositiveDefinite,
     QuadratureFailure,
 )
+from .quadrature import integrate_panels
 
 MAX_DIM = 8
 
@@ -28,51 +30,13 @@ SYMMETRY_TOL = 1e-14
 # Smallest admissible eigenvalue, relative to the largest.
 POSDEF_RATIO = 1e-12
 
-_JACOBI_MAX_SWEEPS = 60
+# log of the largest finite float64; exp of anything above overflows.
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
-def _jacobi_eigh(a):
-    """Cyclic Jacobi eigendecomposition of a small symmetric matrix.
-
-    Sweeps (p, q) over the strict upper triangle in row-major order until
-    the off-diagonal mass is negligible. Returns eigenvalues sorted
-    ascending (stable sort, preserving sweep order among ties) and the
-    matching orthonormal eigenvector columns.
-    """
-    a = np.array(a, dtype=float)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a[0, :1].copy(), v
-    scale = np.linalg.norm(a)
-    if scale == 0.0:
-        return np.zeros(n), v
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = math.sqrt(2.0 * sum(a[p, q] ** 2 for p in range(n - 1) for q in range(p + 1, n)))
-        if off <= 1e-15 * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-18 * scale:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                col_p, col_q = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p, row_q = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                a[p, q] = a[q, p] = 0.0
-                vp, vq = v[:, p].copy(), v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    eigvals = np.diag(a).copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 class SpdMatrix:
@@ -100,18 +64,33 @@ class SpdMatrix:
         if scale > 0.0 and float(np.abs(m - m.T).max()) > SYMMETRY_TOL * scale:
             raise AsymmetricInput("matrix asymmetry exceeds tolerance")
         m = 0.5 * (m + m.T)
-        eigvals, eigvecs = _jacobi_eigh(m)
+        eigvals, eigvecs = np.linalg.eigh(m)
         if eigvals[-1] <= 0.0 or eigvals[0] <= POSDEF_RATIO * eigvals[-1]:
             raise NotPositiveDefinite(
                 f"eigenvalue {eigvals[0]:.3e} at or below threshold "
                 f"{POSDEF_RATIO:.0e} * {eigvals[-1]:.3e}"
             )
-        m.setflags(write=False)
-        eigvals.setflags(write=False)
-        eigvecs.setflags(write=False)
-        self.entries = m
-        self._eigvals = eigvals
-        self._eigvecs = eigvecs
+        # Canonical sign: each column's largest-magnitude component is
+        # positive (argmax takes the first index on ties).
+        lead = eigvecs[np.argmax(np.abs(eigvecs), axis=0), np.arange(n)]
+        eigvecs = eigvecs * np.where(lead < 0.0, -1.0, 1.0)
+        self.entries = _frozen(m)
+        self._eigvals = _frozen(eigvals)
+        self._eigvecs = _frozen(eigvecs)
+
+    @classmethod
+    def _from_eigenpairs(cls, eigvals, eigvecs) -> "SpdMatrix":
+        """Assemble Q diag(eigvals) Q^T from eigenpairs known to be valid.
+
+        Skips validation and the eigensolver; eigvals must be positive and
+        ascending, eigvecs orthonormal with canonical signs.
+        """
+        self = object.__new__(cls)
+        m = (eigvecs * eigvals) @ eigvecs.T
+        self.entries = _frozen(0.5 * (m + m.T))
+        self._eigvals = _frozen(eigvals)
+        self._eigvecs = _frozen(eigvecs)
+        return self
 
     @property
     def n(self) -> int:
@@ -147,25 +126,23 @@ class SpdDecomposition:
     det_sqrt: float
 
 
-def _assemble_spd(eigvecs, diag_values):
-    m = (eigvecs * diag_values) @ eigvecs.T
-    return SpdMatrix(0.5 * (m + m.T))
-
-
 def decompose(m: SpdMatrix) -> SpdDecomposition:
     """Eigendecompose an SPD matrix and derive sqrt, inv_sqrt, inverse.
 
-    Deterministic for a given input (fixed Jacobi sweep order).
+    Reuses the eigenpairs computed when ``m`` was constructed; the derived
+    matrices share them (reversed for the decreasing powers).
     """
     lam, q = m._eigvals, m._eigvecs
+    root = np.sqrt(lam)
+    q_rev = q[:, ::-1]
     return SpdDecomposition(
         matrix=m,
         eigenvalues=lam,
         eigenvectors=q,
-        sqrt=_assemble_spd(q, np.sqrt(lam)),
-        inv_sqrt=_assemble_spd(q, 1.0 / np.sqrt(lam)),
-        inverse=_assemble_spd(q, 1.0 / lam),
-        det_sqrt=float(np.prod(np.sqrt(lam))),
+        sqrt=SpdMatrix._from_eigenpairs(root, q),
+        inv_sqrt=SpdMatrix._from_eigenpairs(1.0 / root[::-1], q_rev),
+        inverse=SpdMatrix._from_eigenpairs(1.0 / lam[::-1], q_rev),
+        det_sqrt=float(np.prod(root)),
     )
 
 
@@ -177,61 +154,24 @@ def spectral_norm_inv_sqrt(d: SpdDecomposition) -> float:
     return 1.0 / math.sqrt(float(d.eigenvalues[0]))
 
 
-# Lanczos approximation with g = 7 and 9 coefficients. Accurate to ~1e-14
-# relative on the positive real axis; reflection is never needed here since
-# the domain is x > 0 (values in (0, 0.5) go through the recurrence).
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-GAMMA_MAX_ARG = 172.0
-
-
-def _lanczos_series(z: float) -> float:
-    s = _LANCZOS_COEF[0]
-    for i in range(1, len(_LANCZOS_COEF)):
-        s += _LANCZOS_COEF[i] / (z + i)
-    return s
-
-
 def gamma(x: float) -> float:
-    """Gamma function on (0, 172].
-
-    Relative error <= 1e-12 against high-precision references.
-    """
+    """Gamma function for x > 0 up to its float64 overflow near 171.6."""
     if not x > 0.0:
         raise DomainError(f"gamma requires x > 0, got {x}")
-    if x > GAMMA_MAX_ARG:
-        raise DomainError(f"gamma({x}) overflows float64; domain capped at {GAMMA_MAX_ARG}")
-    if x < 0.5:
-        return gamma(x + 1.0) / x
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    # Single exponential keeps t**(z+0.5) from overflowing before e^{-t}
-    # can compensate near the top of the domain.
-    return math.sqrt(2.0 * math.pi) * _lanczos_series(z) * math.exp((z + 0.5) * math.log(t) - t)
+    try:
+        value = math.gamma(x)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise DomainError(f"gamma({x}) overflows float64")
+    return value
 
 
 def log_gamma(x: float) -> float:
     """log(gamma(x)) for x > 0, stable for arbitrarily large x."""
     if not x > 0.0:
         raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return log_gamma(x + 1.0) - math.log(x)
-    z = x - 1.0
-    t = z + _LANCZOS_G + 0.5
-    return _LOG_SQRT_2PI + math.log(_lanczos_series(z)) + (z + 0.5) * math.log(t) - t
+    return math.lgamma(x)
 
 
 _INCGAMMA_MAX_ITER = 600
@@ -286,19 +226,47 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     raise QuadratureFailure("incomplete gamma continued fraction did not converge")
 
 
+# Above this x the asymptotic expansion of the Kummer sum is exact to far
+# below float64 resolution (its error is of order Gamma(1-s) x e^{-x}).
+_KUMMER_ASYMPTOTIC_X = 80.0
+_SERIES_EPS = 1e-17
+
+
+def _log_kummer_sum(x: float, s: float) -> float:
+    """log of sum_k x^k / (k! (k+1-s)) = M(1-s, 2-s, x) / (1-s) for x > 0.
+
+    Sums the positive series up to x = 80; beyond, the sum equals
+    (e^x / x) sum_k (s)_k x^{-k} up to exponentially small terms, which
+    keeps the cost bounded and the result finite for any finite x.
+    """
+    if not math.isfinite(x):
+        raise DomainError(f"time integral exponent p' c t = {x} is not finite")
+    if x <= _KUMMER_ASYMPTOTIC_X:
+        term = 1.0
+        total = 1.0 / (1.0 - s)
+        k = 0
+        while True:
+            k += 1
+            term *= x / k
+            add = term / (k + 1.0 - s)
+            total += add
+            if k > x and add <= _SERIES_EPS * total:
+                return math.log(total)
+    term = total = 1.0
+    k = 0
+    while term > _SERIES_EPS * total:
+        term *= (s + k) / x
+        total += term
+        k += 1
+    return x - math.log(x) + math.log(total)
+
+
 def _singularity_exponent(n: int, p_conj: float) -> float:
     return 0.5 * (n * (p_conj - 1.0) + p_conj)
 
 
-def duhamel_time_integral(t: float, n: int, p_conj: float, c: float) -> float:
-    """Integral over (0, t) of e^(p' c tau) * tau^(-s), s = (n(p'-1)+p')/2.
-
-    This is the time factor of the nonhomogeneous gradient bound; it
-    converges exactly when s < 1, i.e. p > n + 2. Negative reaction rates
-    go through the lower-incomplete-gamma closed form; nonnegative ones
-    through a singularity-removing substitution plus adaptive quadrature
-    (the two paths agree on overlapping domains).
-    """
+def _check_time_integral_args(t: float, n: int, p_conj: float) -> float:
+    """Validate the arguments and return the singularity exponent s < 1."""
     if not t > 0.0:
         raise DomainError(f"time integral requires t > 0, got {t}")
     if p_conj < 1.0:
@@ -308,12 +276,34 @@ def duhamel_time_integral(t: float, n: int, p_conj: float, c: float) -> float:
         raise DivergentIntegral(
             f"singularity exponent s = {s:.6g} >= 1 (requires p > n + 2)"
         )
-    if c == 0.0:
-        return t ** (1.0 - s) / (1.0 - s)
-    if c < 0.0:
+    return s
+
+
+def log_duhamel_time_integral(t: float, n: int, p_conj: float, c: float) -> float:
+    """log of ``duhamel_time_integral``; finite even where the integral overflows."""
+    s = _check_time_integral_args(t, n, p_conj)
+    x = p_conj * c * t
+    if x == 0.0:
+        return (1.0 - s) * math.log(t) - math.log(1.0 - s)
+    if x < 0.0:
         beta = -p_conj * c
-        return math.exp((s - 1.0) * math.log(beta)) * lower_incomplete_gamma(1.0 - s, beta * t)
-    return duhamel_time_integral_quadrature(t, n, p_conj, c)
+        return (s - 1.0) * math.log(beta) + math.log(lower_incomplete_gamma(1.0 - s, -x))
+    return (1.0 - s) * math.log(t) + _log_kummer_sum(x, s)
+
+
+def duhamel_time_integral(t: float, n: int, p_conj: float, c: float) -> float:
+    """Integral over (0, t) of e^(p' c tau) * tau^(-s), s = (n(p'-1)+p')/2.
+
+    This is the time factor of the nonhomogeneous gradient bound; it
+    converges exactly when s < 1, i.e. p > n + 2. c = 0 is the power rule,
+    c < 0 the lower incomplete gamma function, and c > 0 the Kummer
+    function t^(1-s) M(1-s, 2-s, p'ct) / (1-s) (DLMF 13.2). Raises
+    DomainError when the value exceeds the float64 range.
+    """
+    log_value = log_duhamel_time_integral(t, n, p_conj, c)
+    if log_value > LOG_FLOAT_MAX:
+        raise DomainError(f"time integral e^{log_value:.6g} overflows float64")
+    return math.exp(log_value)
 
 
 def duhamel_time_integral_quadrature(
@@ -321,27 +311,30 @@ def duhamel_time_integral_quadrature(
 ) -> float:
     """Quadrature path of the Duhamel time integral for any sign of c.
 
-    Substitutes tau = v^(1/(1-s)) so the integrand becomes the bounded
-    function e^(p' c tau(v)) / (1-s), then applies adaptive Gauss-Kronrod.
-    Kept callable on c < 0 as the cross-check of the closed form.
+    Substitutes tau = v^(1/(1-s)), which turns the integrand into the
+    bounded function e^(p' c tau(v)) / (1-s) on [0, t^(1-s)], and applies
+    graded Gauss-Legendre panels at two orders; raises QuadratureFailure
+    when they differ by more than rel_tol. Independent of the closed forms
+    it cross-checks.
     """
-    if not t > 0.0:
-        raise DomainError(f"time integral requires t > 0, got {t}")
-    if p_conj < 1.0:
-        raise DomainError(f"conjugate exponent must be >= 1, got {p_conj}")
-    s = _singularity_exponent(n, p_conj)
-    if s >= 1.0:
-        raise DivergentIntegral(
-            f"singularity exponent s = {s:.6g} >= 1 (requires p > n + 2)"
-        )
+    s = _check_time_integral_args(t, n, p_conj)
     power = 1.0 / (1.0 - s)
     upper = t ** (1.0 - s)
 
+    # The indicator of [0, upper] has jumps at both ends, which are marked
+    # as kinks so the panels grade toward them: the integrand's boundary
+    # layer at the upper end is as thin as upper / (power p' |c| t).
     def integrand(v):
-        return math.exp(p_conj * c * v**power) / (1.0 - s)
+        inside = (v >= 0.0) & (v <= upper)
+        tau = np.clip(v, 0.0, upper) ** power
+        return np.where(inside, np.exp(p_conj * c * tau), 0.0) / (1.0 - s)
 
-    value, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
-    if not math.isfinite(value) or err > rel_tol * max(abs(value), 1e-300):
+    lo, hi = -0.5 * upper, 1.5 * upper
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = integrate_panels(integrand, lo, hi, kinks=(0.0, upper))
+        coarse = integrate_panels(integrand, lo, hi, kinks=(0.0, upper), order=8)
+    err = abs(value - coarse)
+    if not (math.isfinite(value) and err <= rel_tol * abs(value)):
         raise QuadratureFailure(
             f"time-integral quadrature error {err:.3e} exceeds {rel_tol:.1e} relative"
         )

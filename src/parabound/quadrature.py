@@ -15,8 +15,14 @@ import numpy as np
 
 @lru_cache(maxsize=64)
 def hermite_rule(order: int):
-    """1-D Gauss-Hermite nodes/weights for weight exp(-x^2)."""
-    x, w = np.polynomial.hermite.hermgauss(order)
+    """1-D Gauss-Hermite nodes/weights for weight exp(-x^2).
+
+    numpy's construction overflows at high order (order 384 already gives
+    NaN weights) without raising; callers must check that their results
+    are finite.
+    """
+    with np.errstate(all="ignore"):
+        x, w = np.polynomial.hermite.hermgauss(order)
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w

@@ -23,9 +23,10 @@ eigenvalue of A. Neither constant reads the drift vector b.
 By Hoelder duality each constant equals the L^{p'} norm of the directional
 kernel gradient (spatial for the homogeneous case, space-time for the
 nonhomogeneous one), which is what the verification oracles recompute by
-quadrature. All powers are assembled in log space so large p cannot
-overflow, and the p = 1 / p = infinity branches are evaluated from their
-exact limit forms rather than by taking limits numerically.
+quadrature. All powers are assembled in log space so large p or c t
+cannot overflow an intermediate factor (a value beyond the float64 range
+raises DomainError), and the p = 1 / p = infinity branches are evaluated
+from their exact limit forms rather than by taking limits numerically.
 """
 
 from __future__ import annotations
@@ -38,7 +39,13 @@ import numpy as np
 
 from .errors import DomainError, ExponentTooSmall, InvalidExponent, NonpositiveTime
 from .kernel import FundamentalSolution
-from .mathcore import duhamel_time_integral, gamma, log_gamma, spectral_norm_inv_sqrt
+from .mathcore import (
+    LOG_FLOAT_MAX,
+    gamma,
+    log_duhamel_time_integral,
+    log_gamma,
+    spectral_norm_inv_sqrt,
+)
 
 HOMOGENEOUS = "hom"
 NONHOMOGENEOUS = "nonhom"
@@ -91,7 +98,9 @@ class SharpConstant:
     prefactor bundles the direction amplitude |A^{-1/2} l| with the
     determinant/pi brace, gamma_factor the Gamma brace, time_factor the
     reaction-time part (for the nonhomogeneous kind, the Duhamel integral
-    raised to 1/p'). The product of the three reproduces value exactly.
+    raised to 1/p'). The product of the three reproduces value; where the
+    time factor alone exceeds the float64 range it is reported as inf and
+    value comes from the sum of the factors' logarithms.
     maximizing_direction is set when the query had no direction.
     """
 
@@ -177,6 +186,24 @@ def _log_det_pi_brace(kernel: FundamentalSolution, p: float) -> float:
     ) / p
 
 
+def _assemble(prefactor: float, gamma_factor: float, log_time_factor: float):
+    """(value, time_factor) for value = prefactor * gamma_factor * e^log_time_factor.
+
+    Raises DomainError only when value itself is not representable.
+    """
+    if log_time_factor <= LOG_FLOAT_MAX:
+        time_factor = math.exp(log_time_factor)
+        value = prefactor * gamma_factor * time_factor
+        if math.isfinite(value):
+            return value, time_factor
+    else:
+        time_factor = math.inf
+    log_value = math.log(prefactor) + math.log(gamma_factor) + log_time_factor
+    if log_value > LOG_FLOAT_MAX:
+        raise DomainError(f"sharp coefficient e^{log_value:.6g} overflows float64")
+    return math.exp(log_value), time_factor
+
+
 def sharp_coefficient_hom(
     kernel: FundamentalSolution, p: float, t: float, direction=None
 ) -> SharpConstant:
@@ -195,20 +222,20 @@ def sharp_coefficient_hom(
     if p == math.inf:
         prefactor = amp / math.sqrt(math.pi)
         gamma_factor = 1.0
-        time_factor = math.exp(c * t) / math.sqrt(t)
+        time_power = 0.5
     elif p == 1.0:
         # Limit p' -> inf: sup norm of the directional kernel gradient.
         prefactor = amp * math.exp(_log_det_pi_brace(kernel, 1.0))
         gamma_factor = math.exp(-0.5) / math.sqrt(2.0)
-        time_factor = math.exp(c * t) * t ** (-(n + 1.0) / 2.0)
+        time_power = (n + 1.0) / 2.0
     else:
         pc = conjugate_exponent(p)
         prefactor = amp * math.exp(_log_det_pi_brace(kernel, p))
         gamma_factor = math.exp(
             (log_gamma((pc + 1.0) / 2.0) - 0.5 * (n + pc) * math.log(pc)) / pc
         )
-        time_factor = math.exp(c * t - 0.5 * (n + p) / p * math.log(t))
-    value = prefactor * gamma_factor * time_factor
+        time_power = 0.5 * (n + p) / p
+    value, time_factor = _assemble(prefactor, gamma_factor, c * t - time_power * math.log(t))
     query = BoundQuery(
         p=p, t=t, kind=HOMOGENEOUS,
         direction=None if direction is None else tuple(np.asarray(direction, float)),
@@ -235,16 +262,15 @@ def sharp_coefficient_nonhom(
     if p == math.inf:
         prefactor = amp / math.sqrt(math.pi)
         gamma_factor = 1.0
-        time_factor = duhamel_time_integral(t, n, 1.0, c)
+        log_time_factor = log_duhamel_time_integral(t, n, 1.0, c)
     else:
         pc = conjugate_exponent(p)
-        integral = duhamel_time_integral(t, n, pc, c)
         prefactor = amp * math.exp(_log_det_pi_brace(kernel, p))
         gamma_factor = math.exp(
             (log_gamma((pc + 1.0) / 2.0) - 0.5 * (n + pc) * math.log(pc)) / pc
         )
-        time_factor = integral ** (1.0 / pc)
-    value = prefactor * gamma_factor * time_factor
+        log_time_factor = log_duhamel_time_integral(t, n, pc, c) / pc
+    value, time_factor = _assemble(prefactor, gamma_factor, log_time_factor)
     query = BoundQuery(
         p=p, t=t, kind=NONHOMOGENEOUS,
         direction=None if direction is None else tuple(np.asarray(direction, float)),

@@ -58,6 +58,8 @@ def _check_solver_args(kernel: FundamentalSolution, x, t: float):
         raise UnsupportedData(f"solver quadrature supports n <= {SOLVER_MAX_DIM}")
     if not t > 0.0:
         raise NonpositiveTime(f"solver requires t > 0, got {t}")
+    if t > kernel.spec.horizon:
+        raise DomainError(f"t = {t} beyond the problem horizon T = {kernel.spec.horizon}")
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (kernel.n,):
         raise DomainError(f"point has dimension {x.shape[0]}, expected {kernel.n}")
@@ -209,6 +211,10 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
             scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
             if est <= quad.target_rel_err * scale:
                 break
+    if not (math.isfinite(est) and np.all(np.isfinite(value))):
+        raise QuadratureFailure(
+            f"spatial quadrature gave a non-finite value or error estimate ({est:.3e})"
+        )
     scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
     if scale > 0.0 and est > quad.target_rel_err * scale:
         raise QuadratureFailure(

@@ -27,6 +27,27 @@ def run_cli(argv):
     return cli.main(argv)
 
 
+def child_env():
+    """Environment for a child interpreter that imports the code under test.
+
+    Children may run from "/", where a relative PYTHONPATH (such as "src")
+    would not resolve; the directory of the imported package goes first so
+    the child runs the code under test, not some installed copy.
+    """
+    env = dict(os.environ)
+    src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env["PYTHONPATH"] = os.pathsep.join([src_dir, *inherited])
+    return env
+
+
+def run_child(argv, env=None):
+    return subprocess.run(
+        [sys.executable, *argv], env=env or child_env(),
+        capture_output=True, text=True, cwd="/", timeout=120,
+    )
+
+
 def read_manifest_from_csv(path):
     with open(path) as fh:
         first = fh.readline()
@@ -87,7 +108,49 @@ class TestConstantCommand:
         assert code == 2
 
 
+class TestOverflow:
+    SPEC = json.dumps({"n": 1, "A": [[1]], "b": [0], "c": 800, "T": 8})
+
+    @pytest.mark.parametrize("kind, p", [("hom", "2"), ("nonhom", "4"), ("nonhom", "inf")])
+    def test_exit_2_without_traceback(self, kind, p):
+        result = run_child(["-m", "parabound", "constant", "--spec-json", self.SPEC,
+                            "--kind", kind, "--p", p, "--t", "1", "--dir", "1"])
+        assert result.returncode == 2
+        assert "Traceback" not in result.stderr
+        assert "overflows float64" in result.stderr
+
+    def test_large_positive_reaction_is_finite(self, tmp_path):
+        spec = {"n": 1, "A": [[1]], "b": [0], "c": 20, "T": 8}
+        out = tmp_path / "c.json"
+        code = run_cli(["constant", "--spec-json", json.dumps(spec), "--kind", "nonhom",
+                        "--p", "3.01", "--t", "8", "--dir", "1", "--out", str(out)])
+        assert code == 0
+        record = json.loads(out.read_text())
+        p_conj = 3.01 / 2.01
+        assert record["factors"]["time_factor"] == pytest.approx(
+            4.81279883107963481845773e101 ** (1.0 / p_conj), rel=1e-12
+        )
+        assert math.isfinite(record["value"]) and record["value"] > 0.0
+
+
 class TestSolveCommand:
+    def test_exit_2_beyond_horizon(self):
+        spec = dict(SPEC_1D, T=1.0)
+        for kind in ("hom", "nonhom"):
+            code = run_cli(["solve", "--spec-json", json.dumps(spec), "--kind", kind,
+                            "--data", "constant:value=1", "--points", "0,5"])
+            assert code == 2
+
+    def test_no_negative_zero(self, spec_path, tmp_path):
+        assert cli.fmt(-0.0) == "0"
+        assert cli.fmt(-1e-300) == "-1e-300"
+        out = tmp_path / "z.csv"
+        code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
+                        "--data", "constant:value=1", "--points", "0,5", "--out", str(out)])
+        assert code == 0
+        row = out.read_text().splitlines()[2].split(",")
+        assert row[3] == "0"
+
     def test_box_indicator_value(self, spec_path, tmp_path):
         out = tmp_path / "solve.csv"
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
@@ -286,21 +349,21 @@ class TestManifestRoundTrip:
         assert numeric_lines(out) == numeric_lines(out2)
 
 
+def test_import_does_not_load_scipy():
+    result = run_child(["-c", "import sys, parabound, parabound.cli; "
+                        "assert 'scipy' not in sys.modules, 'scipy imported'"])
+    assert result.returncode == 0, result.stderr
+
+
 class TestEnvOverride:
     def test_quad_order_env(self, spec_path, tmp_path):
         out = tmp_path / "env.json"
-        env = dict(os.environ)
+        env = child_env()
         env["PARABOUND_QUAD_ORDER"] = "32"
-        # The child runs from "/", so a relative PYTHONPATH (such as "src")
-        # would not resolve; put the directory of the imported package first
-        # so the child runs the code under test, not some installed copy.
-        src_dir = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        inherited = [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env["PYTHONPATH"] = os.pathsep.join([src_dir, *inherited])
-        result = subprocess.run(
-            [sys.executable, "-m", "parabound", "constant", "--spec", spec_path,
+        result = run_child(
+            ["-m", "parabound", "constant", "--spec", spec_path,
              "--kind", "hom", "--p", "2", "--t", "1", "--dir", "1", "--out", str(out)],
-            env=env, capture_output=True, text=True, cwd="/",
+            env=env,
         )
         assert result.returncode == 0
         assert json.loads(out.read_text())["manifest"]["quadrature"]["hermite_order"] == 32

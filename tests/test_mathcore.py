@@ -13,6 +13,7 @@ from parabound.errors import (
     DivergentIntegral,
     DomainError,
     NotPositiveDefinite,
+    QuadratureFailure,
 )
 
 SQRT_PI = 1.7724538509055160273
@@ -97,6 +98,34 @@ class TestSpdMatrix:
         assert np.array_equal(d1.eigenvectors, d2.eigenvectors)
         assert d1.det_sqrt == d2.det_sqrt
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 8])
+    def test_eigenvector_sign_canonical(self, n):
+        rng = np.random.default_rng(40 + n)
+        for _ in range(10):
+            q = mc.decompose(random_spd(rng, n)).eigenvectors
+            lead = q[np.argmax(np.abs(q), axis=0), np.arange(n)]
+            assert np.all(lead > 0.0)
+        # exact tie: the first of the equal-magnitude components is positive
+        v0 = mc.decompose(mc.SpdMatrix([[2.0, 1.0], [1.0, 2.0]])).eigenvectors[:, 0]
+        assert v0[0] > 0.0 > v0[1]
+
+    def test_derived_matrices_reuse_eigenpairs(self):
+        rng = np.random.default_rng(11)
+        m = random_spd(rng, 3)
+        d = mc.decompose(m)
+        lam, q = d.eigenvalues, d.eigenvectors
+        assert np.array_equal(d.sqrt._eigvals, np.sqrt(lam))
+        assert np.array_equal(d.sqrt._eigvecs, q)
+        # decreasing powers keep the ascending order by reversing the pairs
+        assert np.array_equal(d.inv_sqrt._eigvals, 1.0 / np.sqrt(lam)[::-1])
+        assert np.array_equal(d.inverse._eigvals, 1.0 / lam[::-1])
+        assert np.array_equal(d.inverse._eigvecs, q[:, ::-1])
+        assert np.linalg.norm(d.inverse.entries @ m.entries - np.eye(3)) <= 1e-12
+        for derived in (d.sqrt, d.inv_sqrt, d.inverse):
+            assert np.array_equal(derived.entries, derived.entries.T)
+            with pytest.raises(ValueError):
+                derived.entries[0, 0] = 1.0
+
 
 class TestSpectralNorm:
     @pytest.mark.parametrize(
@@ -156,6 +185,12 @@ class TestGamma:
             mc.gamma(-1.3)
         with pytest.raises(DomainError):
             mc.gamma(180.0)
+        with pytest.raises(DomainError):
+            mc.gamma(math.inf)
+        with pytest.raises(DomainError):
+            mc.gamma(math.nan)
+        with pytest.raises(DomainError):
+            mc.log_gamma(0.0)
         mc.gamma(171.6)  # near the top but representable
 
     def test_against_compensated_quadrature_oracle(self):
@@ -226,7 +261,7 @@ class TestDuhamelTimeIntegral:
         )
 
     def test_negative_reaction_paths_agree(self):
-        # Closed form (incomplete gamma) vs adaptive quadrature.
+        # Closed form (incomplete gamma) vs graded panel quadrature.
         cases = [(2.0, 2, 1.2, -1.0), (0.7, 1, 1.4, -0.3), (4.0, 3, 1.05, -2.0)]
         for t, n, p_conj, c in cases:
             cf = mc.duhamel_time_integral(t, n, p_conj, c)
@@ -238,6 +273,36 @@ class TestDuhamelTimeIntegral:
         assert mc.duhamel_time_integral(2.0, 2, 1.2, -1.0) == pytest.approx(
             4.39202395407601510955, rel=1e-12
         )
+
+    def test_positive_reaction_reference(self):
+        # n = 1, p = 3.01, c = 20, t = 8: t^(1-s) 1F1(1-s; 2-s; p'ct)/(1-s)
+        # at 30-digit precision. An adaptive quadrature of the integrand
+        # returned -9.5e77 here.
+        p_conj = 3.01 / 2.01
+        assert mc.duhamel_time_integral(8.0, 1, p_conj, 20.0) == pytest.approx(
+            4.81279883107963481845773e101, rel=1e-12
+        )
+
+    def test_positive_reaction_large_exponent(self):
+        # p'ct = 800 and 2.1e6: past the float64 range, the log stays
+        # finite and accurate (30-digit references) and the value raises.
+        assert mc.log_duhamel_time_integral(1.0, 1, 1.0, 800.0) == pytest.approx(
+            793.31601425191918468529308673, rel=1e-14
+        )
+        assert mc.log_duhamel_time_integral(2.0, 3, 1.05, 1e6) == pytest.approx(
+            2099985.71981125533360703053744, rel=1e-14
+        )
+        with pytest.raises(DomainError):
+            mc.duhamel_time_integral(1.0, 1, 1.0, 800.0)
+        with pytest.raises(DomainError):
+            mc.log_duhamel_time_integral(1.0, 1, 1.0, 1e308 * 10.0)
+
+    def test_log_matches_value(self):
+        for c in (-2.0, 0.0, 0.5, 30.0, 100.0):
+            value = mc.duhamel_time_integral(3.0, 2, 1.1, c)
+            assert mc.log_duhamel_time_integral(3.0, 2, 1.1, c) == pytest.approx(
+                math.log(value), rel=1e-14, abs=1e-14
+            )
 
     def test_positive_reaction_monotone_in_t(self):
         vals = [mc.duhamel_time_integral(t, 1, 1.2, 0.5) for t in (0.5, 1.0, 2.0)]
@@ -255,6 +320,25 @@ class TestDuhamelTimeIntegral:
             mc.duhamel_time_integral(0.0, 1, 1.2, 0.0)
         with pytest.raises(DomainError):
             mc.duhamel_time_integral(1.0, 1, 0.8, 0.0)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("p_of_n", ["n+2.01", "n+3", "2n+5", "40", "1e4", "inf"])
+def test_positive_reaction_series_vs_panels(n, p_of_n):
+    p = {"n+2.01": n + 2.01, "n+3": n + 3.0, "2n+5": 2.0 * n + 5.0,
+         "40": 40.0, "1e4": 1e4, "inf": math.inf}[p_of_n]
+    p_conj = 1.0 if p == math.inf else p / (p - 1.0)
+    checked = 0
+    for c in (1e-6, 0.3, 1.0, 5.0, 20.0):
+        for t in (0.01, 0.5, 2.0, 8.0):
+            series = mc.duhamel_time_integral(t, n, p_conj, c)
+            try:
+                panels = mc.duhamel_time_integral_quadrature(t, n, p_conj, c)
+            except QuadratureFailure:
+                continue
+            assert abs(series - panels) <= 1e-9 * panels, (c, t)
+            checked += 1
+    assert checked > 0
 
 
 @settings(max_examples=80, deadline=None)

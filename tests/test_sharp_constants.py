@@ -190,6 +190,21 @@ class TestHomogeneousCoefficient:
         with pytest.raises(DomainError):
             sc.sharp_coefficient_hom(HEAT_1D, 2.0, 1.0, [0.5])  # not unit
 
+    def test_overflow_raises_domain_error(self):
+        k = make_kernel([[1.0]], [0.0], 800.0)
+        for p in (1.0, 2.0, INF):
+            with pytest.raises(DomainError):
+                sc.sharp_coefficient_hom(k, p, 1.0, [1.0])
+
+    def test_representable_value_with_overflowing_time_factor(self):
+        # e^{ct} = e^800 overflows, but |A^{-1/2} l| = 1e-150 brings K back
+        k = make_kernel([[1e300]], [0.0], 100.0)
+        s = sc.sharp_coefficient_hom(k, 2.0, 8.0, [1.0])
+        assert s.time_factor == INF
+        log_value = (math.log(s.prefactor) + math.log(s.gamma_factor)
+                     + 800.0 - 0.75 * math.log(8.0))
+        assert s.value == pytest.approx(math.exp(log_value), rel=1e-13)
+
 
 class TestNonhomogeneousCoefficient:
     def test_sup_forcing_special_case(self):
@@ -200,6 +215,19 @@ class TestNonhomogeneousCoefficient:
         # space-time L^{4/3} norm of the kernel gradient over R x (0,1)
         c = sc.sharp_coefficient_nonhom(HEAT_1D, 4.0, 1.0, [1.0])
         assert c.value == pytest.approx(1.3366634215090237, rel=1e-12)
+
+    def test_large_positive_reaction(self):
+        # n = 1, p = 3.01, c = 20, t = 8: the time factor is I^{1/p'} with
+        # I = t^(1-s) 1F1(1-s; 2-s; p'ct)/(1-s) from 30-digit arithmetic
+        k = make_kernel([[1.0]], [0.0], 20.0)
+        s = sc.sharp_coefficient_nonhom(k, 3.01, 8.0, [1.0])
+        p_conj = sc.conjugate_exponent(3.01)
+        assert s.time_factor == pytest.approx(
+            4.81279883107963481845773e101 ** (1.0 / p_conj), rel=1e-12
+        )
+        assert s.value == pytest.approx(s.prefactor * s.gamma_factor * s.time_factor, rel=1e-15)
+        with pytest.raises(DomainError):
+            sc.sharp_coefficient_nonhom(make_kernel([[1.0]], [0.0], 800.0), 4.0, 1.0, [1.0])
 
     def test_divergence_boundary(self):
         with pytest.raises(ExponentTooSmall):

@@ -1,6 +1,7 @@
 """Solver tests: convolution identities, Duhamel bounds, error paths."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -224,6 +225,25 @@ class TestErrorPaths:
         rough = sv.QuadratureConfig(hermite_order=8, target_rel_err=1e-10)
         with pytest.raises(QuadratureFailure):
             sv.solve_homogeneous(HEAT_1D, sharp, [0.0], 1.0, rough)
+
+    def test_nonfinite_finest_rule_is_quadrature_failure(self):
+        # tau = t / width^2 = 25: the escalation reaches order 512, whose
+        # numpy Hermite weights contain NaN; that must raise, not return NaN.
+        narrow = GaussianBump(center=(0.0,), spread=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure):
+                sv.solve_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
+            with pytest.raises(QuadratureFailure):
+                sv.gradient_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
+
+    def test_time_beyond_horizon(self):
+        k = make_kernel([[1.0]], [0.0], 0.0, horizon=1.0)
+        with pytest.raises(DomainError):
+            sv.solve_homogeneous(k, ConstantData(1.0), [0.0], 1.5)
+        with pytest.raises(DomainError):
+            sv.solve_nonhomogeneous(k, TimeInvariantForcing(ConstantData(1.0)), [0.0], 1.5)
+        assert sv.solve_homogeneous(k, ConstantData(1.0), [0.0], 1.0) == pytest.approx(1.0)
 
     def test_mismatched_dimensions(self):
         with pytest.raises(DomainError):

@@ -230,6 +230,17 @@ class TestMaxPrinciple:
         report = vf.max_principle_check(k, phi, [(np.array([0.5]), 0.7)])
         assert report.passed and report.ratio < 1.0
 
+    def test_unresolved_samples_counted(self):
+        # at t = 2.5 the spread-0.05 bump needs a finer Hermite rule than
+        # the solver has: that sample is counted, not compared
+        phi = GaussianBump(center=(0.0,), spread=0.05)
+        resolved, unresolved = (np.array([0.3]), 0.1), (np.array([0.3]), 2.5)
+        report = vf.max_principle_check(HEAT_1D, phi, [resolved, unresolved])
+        assert report.passed and 0.0 < report.ratio < 1.0
+        assert report.config["unresolved_samples"] == 1
+        report = vf.max_principle_check(HEAT_1D, phi, [unresolved])
+        assert not report.passed
+
     def test_decay_with_negative_reaction(self):
         from parabound.sources import ConstantData
 
