@@ -13,7 +13,10 @@ exponent, 4 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import fnmatch
+import json
 import math
 import os
 import sys
@@ -23,18 +26,13 @@ import numpy as np
 from .errors import (
     DivergentIntegral,
     ExponentTooSmall,
+    FloatOverflow,
     ParaboundError,
     QuadratureFailure,
 )
 from .kernel import FundamentalSolution, ProblemSpec
 from .sharp_constants import sharp_coefficient_hom, sharp_coefficient_nonhom
-from .solver import (
-    QuadratureConfig,
-    gradient_homogeneous,
-    gradient_nonhomogeneous,
-    solve_homogeneous,
-    solve_nonhomogeneous,
-)
+from .solver import QuadratureConfig, solve_batch
 from .sources import (
     BoxIndicator,
     ConstantData,
@@ -71,8 +69,6 @@ def dumps(obj) -> str:
     if obj is False:
         return "false"
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, int):
         return str(obj)
@@ -106,8 +102,6 @@ def exponent_token(p: float):
 
 
 def load_spec(args) -> ProblemSpec:
-    import json
-
     if getattr(args, "spec_json", None):
         payload = json.loads(args.spec_json)
     elif getattr(args, "spec", None):
@@ -129,13 +123,9 @@ def resolve_quadrature(args) -> QuadratureConfig:
     return QuadratureConfig(hermite_order=int(order), target_rel_err=float(target))
 
 
-def quadrature_dict(quad: QuadratureConfig) -> dict:
-    return {
-        "hermite_order": quad.hermite_order,
-        "time_panels": quad.time_panels,
-        "truncation_radius": quad.truncation_radius,
-        "target_rel_err": quad.target_rel_err,
-    }
+def parse_direction(text):
+    """--dir as an array, or None (maximize over directions) when absent."""
+    return None if text is None else np.array([float(v) for v in text.split(",")])
 
 
 def parse_data(text: str, n: int):
@@ -203,24 +193,15 @@ def parse_points(args, n: int):
     return rows
 
 
-class OutputWriter:
-    def __init__(self, path):
-        self.path = path
-
-    def __enter__(self):
-        self.fh = open(self.path, "w", encoding="utf-8") if self.path else sys.stdout
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.path:
-            self.fh.close()
-        return False
+def open_output(path):
+    """The --out file, or stdout (left open) when no path is given."""
+    return open(path, "w", encoding="utf-8") if path else contextlib.nullcontext(sys.stdout)
 
 
 def base_manifest(args, command: str, quad: QuadratureConfig, spec: ProblemSpec | None) -> dict:
     manifest = {
         "command": command,
-        "quadrature": quadrature_dict(quad),
+        "quadrature": dataclasses.asdict(quad),
         "seed": getattr(args, "seed", None),
         "out": getattr(args, "out", None),
     }
@@ -270,9 +251,7 @@ def cmd_constant(args) -> int:
     kernel = FundamentalSolution(spec)
     quad = resolve_quadrature(args)
     p = parse_exponent(args.p)
-    direction = None
-    if args.dir is not None:
-        direction = np.array([float(v) for v in args.dir.split(",")])
+    direction = parse_direction(args.dir)
     fn = sharp_coefficient_hom if args.kind == "hom" else sharp_coefficient_nonhom
     constant = fn(kernel, p, args.t, direction)
     manifest = base_manifest(args, "constant", quad, spec)
@@ -291,7 +270,7 @@ def cmd_constant(args) -> int:
             None if constant.maximizing_direction is None else list(constant.maximizing_direction)
         ),
     }
-    with OutputWriter(args.out) as fh:
+    with open_output(args.out) as fh:
         fh.write(dumps(record) + "\n")
     return EXIT_OK
 
@@ -303,34 +282,21 @@ def cmd_solve(args) -> int:
     data = parse_data(args.data, spec.n)
     points = parse_points(args, spec.n)
     if args.kind == "nonhom":
-        forcing = TimeInvariantForcing(data)
-        value_fn = lambda x, t: solve_nonhomogeneous(kernel, forcing, x, t, quad)
-        grad_fn = lambda x, t: gradient_nonhomogeneous(kernel, forcing, x, t, quad)
-    else:
-        value_fn = lambda x, t: solve_homogeneous(kernel, data, x, t, quad)
-        grad_fn = lambda x, t: gradient_homogeneous(kernel, data, x, t, quad)
+        data = TimeInvariantForcing(data)
     manifest = base_manifest(args, "solve", quad, spec)
     manifest.update(kind=args.kind, data=args.data, points=points, jobs=args.jobs)
     n = spec.n
     header = (
         [f"x_{j + 1}" for j in range(n)] + ["t", "u"] + [f"du_dx{j + 1}" for j in range(n)]
     )
-
-    def evaluate(row):
-        x, t = np.asarray(row[:n]), row[n]
-        return value_fn(x, t), grad_fn(x, t)
-
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(evaluate, points))
-    else:
-        results = [evaluate(row) for row in points]
-    with OutputWriter(args.out) as fh:
+    xs, ts = [row[:n] for row in points], [row[n] for row in points]
+    values = solve_batch(kernel, data, xs, ts, quad, jobs=args.jobs, kind=args.kind)
+    grads = solve_batch(kernel, data, xs, ts, quad, jobs=args.jobs, kind=args.kind,
+                        gradient=True)
+    with open_output(args.out) as fh:
         fh.write("# manifest: " + dumps(manifest) + "\n")
         fh.write(",".join(header) + "\n")
-        for row, (u, grad) in zip(points, results):
+        for row, u, grad in zip(points, values, grads):
             cells = [fmt(v) for v in row[:n]] + [fmt(row[n]), fmt(u)] + [fmt(g) for g in grad]
             fh.write(",".join(cells) + "\n")
     return EXIT_OK
@@ -346,22 +312,10 @@ def cmd_verify(args) -> int:
     manifest.update(seed=seed, check=args.check, perturb=args.perturb, jobs=args.jobs)
     reports = run_checks(checks, jobs=args.jobs)
     passed = sum(1 for r in reports if r.passed)
-    with OutputWriter(args.out) as fh:
+    with open_output(args.out) as fh:
         fh.write(dumps({"manifest": manifest}) + "\n")
         for report in reports:
-            fh.write(
-                dumps(
-                    {
-                        "check": report.check,
-                        "closed_form": report.closed_form,
-                        "oracle": report.oracle,
-                        "rel_err": report.rel_err,
-                        "ratio": report.ratio,
-                        "passed": report.passed,
-                    }
-                )
-                + "\n"
-            )
+            fh.write(dumps(report.record()) + "\n")
         fh.write(
             dumps({"summary": {"total": len(reports), "passed": passed,
                                "failed": len(reports) - passed}}) + "\n"
@@ -375,9 +329,7 @@ def cmd_sweep(args) -> int:
     quad = resolve_quadrature(args)
     p_grid = [parse_exponent(v) for v in args.p_grid.split(",")]
     t_grid = [float(v) for v in args.t_grid.split(",")]
-    direction = None
-    if args.dir is not None:
-        direction = np.array([float(v) for v in args.dir.split(",")])
+    direction = parse_direction(args.dir)
     fn = sharp_coefficient_hom if args.kind == "hom" else sharp_coefficient_nonhom
     label = "k" if args.kind == "hom" else "c"
 
@@ -388,7 +340,7 @@ def cmd_sweep(args) -> int:
             if direction is not None:
                 dir_val = fn(kernel, p, t, direction).value
             max_val = fn(kernel, p, t).value
-        except (ExponentTooSmall, DivergentIntegral) as exc:
+        except (ExponentTooSmall, DivergentIntegral, FloatOverflow) as exc:
             print(f"warning: p={exponent_token(p)} t={t}: {exc}", file=sys.stderr)
         return dir_val, max_val
 
@@ -409,7 +361,7 @@ def cmd_sweep(args) -> int:
         max=direction is None,
         jobs=args.jobs,
     )
-    with OutputWriter(args.out) as fh:
+    with open_output(args.out) as fh:
         fh.write("# manifest: " + dumps(manifest) + "\n")
         fh.write(f"p,t,{label}_dir,{label}_max,t_trend\n")
         for idx, ((p, t), (dir_val, max_val)) in enumerate(zip(cells, results)):
@@ -494,17 +446,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except ExponentTooSmall as exc:
+    except (ParaboundError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_EXPONENT
-    except (QuadratureFailure, DivergentIntegral) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ParaboundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, ExponentTooSmall):
+            return EXIT_BAD_EXPONENT
+        if isinstance(exc, (QuadratureFailure, DivergentIntegral)):
+            return EXIT_NUMERICAL
         return EXIT_INPUT_ERROR
 
 

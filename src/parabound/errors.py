@@ -17,6 +17,10 @@ class DomainError(ParaboundError):
     """Scalar argument outside the mathematical domain of an operation."""
 
 
+class FloatOverflow(DomainError):
+    """A result lies beyond the float64 range."""
+
+
 class DivergentIntegral(ParaboundError):
     """Time integral diverges; the Lebesgue exponent is inadmissible."""
 

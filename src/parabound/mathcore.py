@@ -18,6 +18,7 @@ from .errors import (
     AsymmetricInput,
     DivergentIntegral,
     DomainError,
+    FloatOverflow,
     NotPositiveDefinite,
     QuadratureFailure,
 )
@@ -163,7 +164,7 @@ def gamma(x: float) -> float:
     except OverflowError:
         value = math.inf
     if value == math.inf:
-        raise DomainError(f"gamma({x}) overflows float64")
+        raise FloatOverflow(f"gamma({x}) overflows float64")
     return value
 
 
@@ -298,11 +299,11 @@ def duhamel_time_integral(t: float, n: int, p_conj: float, c: float) -> float:
     converges exactly when s < 1, i.e. p > n + 2. c = 0 is the power rule,
     c < 0 the lower incomplete gamma function, and c > 0 the Kummer
     function t^(1-s) M(1-s, 2-s, p'ct) / (1-s) (DLMF 13.2). Raises
-    DomainError when the value exceeds the float64 range.
+    FloatOverflow when the value exceeds the float64 range.
     """
     log_value = log_duhamel_time_integral(t, n, p_conj, c)
     if log_value > LOG_FLOAT_MAX:
-        raise DomainError(f"time integral e^{log_value:.6g} overflows float64")
+        raise FloatOverflow(f"time integral e^{log_value:.6g} overflows float64")
     return math.exp(log_value)
 
 

@@ -25,7 +25,7 @@ kernel gradient (spatial for the homogeneous case, space-time for the
 nonhomogeneous one), which is what the verification oracles recompute by
 quadrature. All powers are assembled in log space so large p or c t
 cannot overflow an intermediate factor (a value beyond the float64 range
-raises DomainError), and the p = 1 / p = infinity branches are evaluated
+raises FloatOverflow), and the p = 1 / p = infinity branches are evaluated
 from their exact limit forms rather than by taking limits numerically.
 """
 
@@ -37,7 +37,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ExponentTooSmall, InvalidExponent, NonpositiveTime
+from .errors import (
+    DomainError,
+    ExponentTooSmall,
+    FloatOverflow,
+    InvalidExponent,
+    NonpositiveTime,
+)
 from .kernel import FundamentalSolution
 from .mathcore import (
     LOG_FLOAT_MAX,
@@ -189,7 +195,7 @@ def _log_det_pi_brace(kernel: FundamentalSolution, p: float) -> float:
 def _assemble(prefactor: float, gamma_factor: float, log_time_factor: float):
     """(value, time_factor) for value = prefactor * gamma_factor * e^log_time_factor.
 
-    Raises DomainError only when value itself is not representable.
+    Raises FloatOverflow only when value itself is not representable.
     """
     if log_time_factor <= LOG_FLOAT_MAX:
         time_factor = math.exp(log_time_factor)
@@ -200,8 +206,35 @@ def _assemble(prefactor: float, gamma_factor: float, log_time_factor: float):
         time_factor = math.inf
     log_value = math.log(prefactor) + math.log(gamma_factor) + log_time_factor
     if log_value > LOG_FLOAT_MAX:
-        raise DomainError(f"sharp coefficient e^{log_value:.6g} overflows float64")
+        raise FloatOverflow(f"sharp coefficient e^{log_value:.6g} overflows float64")
     return math.exp(log_value), time_factor
+
+
+def _sharp_constant(kernel, p, t, direction, kind, log_time_factor) -> SharpConstant:
+    """Direction amplitude, det/pi and Gamma braces, shared by K and C.
+
+    Only the (log) time factor differs between the two kinds.
+    """
+    amp, maximizer = _direction_amplitude(kernel, direction)
+    if p == math.inf:
+        prefactor = amp / math.sqrt(math.pi)
+        gamma_factor = 1.0
+    else:
+        prefactor = amp * math.exp(_log_det_pi_brace(kernel, p))
+        if p == 1.0:
+            # Limit p' -> inf: sup norm of the directional kernel gradient.
+            gamma_factor = math.exp(-0.5) / math.sqrt(2.0)
+        else:
+            pc = conjugate_exponent(p)
+            gamma_factor = math.exp(
+                (log_gamma((pc + 1.0) / 2.0) - 0.5 * (kernel.n + pc) * math.log(pc)) / pc
+            )
+    value, time_factor = _assemble(prefactor, gamma_factor, log_time_factor)
+    query = BoundQuery(
+        p=p, t=t, kind=kind,
+        direction=None if direction is None else tuple(np.asarray(direction, float)),
+    )
+    return SharpConstant(value, prefactor, gamma_factor, time_factor, query, maximizer)
 
 
 def sharp_coefficient_hom(
@@ -216,31 +249,9 @@ def sharp_coefficient_hom(
     t = _check_time(kernel, t)
     if not p >= 1.0:
         raise InvalidExponent(f"Lebesgue exponent must satisfy p >= 1, got {p}")
-    amp, maximizer = _direction_amplitude(kernel, direction)
-    n = kernel.n
-    c = kernel.spec.reaction
-    if p == math.inf:
-        prefactor = amp / math.sqrt(math.pi)
-        gamma_factor = 1.0
-        time_power = 0.5
-    elif p == 1.0:
-        # Limit p' -> inf: sup norm of the directional kernel gradient.
-        prefactor = amp * math.exp(_log_det_pi_brace(kernel, 1.0))
-        gamma_factor = math.exp(-0.5) / math.sqrt(2.0)
-        time_power = (n + 1.0) / 2.0
-    else:
-        pc = conjugate_exponent(p)
-        prefactor = amp * math.exp(_log_det_pi_brace(kernel, p))
-        gamma_factor = math.exp(
-            (log_gamma((pc + 1.0) / 2.0) - 0.5 * (n + pc) * math.log(pc)) / pc
-        )
-        time_power = 0.5 * (n + p) / p
-    value, time_factor = _assemble(prefactor, gamma_factor, c * t - time_power * math.log(t))
-    query = BoundQuery(
-        p=p, t=t, kind=HOMOGENEOUS,
-        direction=None if direction is None else tuple(np.asarray(direction, float)),
-    )
-    return SharpConstant(value, prefactor, gamma_factor, time_factor, query, maximizer)
+    time_power = 0.5 if p == math.inf else 0.5 * (kernel.n + p) / p
+    log_time_factor = kernel.spec.reaction * t - time_power * math.log(t)
+    return _sharp_constant(kernel, p, t, direction, HOMOGENEOUS, log_time_factor)
 
 
 def sharp_coefficient_nonhom(
@@ -257,25 +268,9 @@ def sharp_coefficient_nonhom(
         raise ExponentTooSmall(
             f"nonhomogeneous bound requires p > n + 2 = {n + 2}, got {p}"
         )
-    amp, maximizer = _direction_amplitude(kernel, direction)
-    c = kernel.spec.reaction
-    if p == math.inf:
-        prefactor = amp / math.sqrt(math.pi)
-        gamma_factor = 1.0
-        log_time_factor = log_duhamel_time_integral(t, n, 1.0, c)
-    else:
-        pc = conjugate_exponent(p)
-        prefactor = amp * math.exp(_log_det_pi_brace(kernel, p))
-        gamma_factor = math.exp(
-            (log_gamma((pc + 1.0) / 2.0) - 0.5 * (n + pc) * math.log(pc)) / pc
-        )
-        log_time_factor = log_duhamel_time_integral(t, n, pc, c) / pc
-    value, time_factor = _assemble(prefactor, gamma_factor, log_time_factor)
-    query = BoundQuery(
-        p=p, t=t, kind=NONHOMOGENEOUS,
-        direction=None if direction is None else tuple(np.asarray(direction, float)),
-    )
-    return SharpConstant(value, prefactor, gamma_factor, time_factor, query, maximizer)
+    pc = conjugate_exponent(p)
+    log_time_factor = log_duhamel_time_integral(t, n, pc, kernel.spec.reaction) / pc
+    return _sharp_constant(kernel, p, t, direction, NONHOMOGENEOUS, log_time_factor)
 
 
 def evaluate_query(kernel: FundamentalSolution, query: BoundQuery) -> SharpConstant:

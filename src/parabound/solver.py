@@ -26,12 +26,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonpositiveTime, QuadratureFailure, UnsupportedData
+from .errors import (
+    DomainError,
+    FloatOverflow,
+    NonpositiveTime,
+    QuadratureFailure,
+    UnsupportedData,
+)
 from .kernel import FundamentalSolution
+from .mathcore import LOG_FLOAT_MAX
 from .quadrature import hermite_tensor, legendre_rule, panel_edges, panel_nodes
 from .sources import GridData, SourceFunction, SpaceTimeSource
 
 SOLVER_MAX_DIM = 3
+# Largest tensor Hermite rule (order^n nodes) an escalation may reach.
+_MAX_TENSOR_NODES = 2**21
 
 
 @dataclass(frozen=True)
@@ -66,14 +75,14 @@ def _check_solver_args(kernel: FundamentalSolution, x, t: float):
     return x, float(t)
 
 
-def _solution_scale(kernel, sup, t, want_gradient):
-    """Magnitude scale used to floor relative error control."""
-    if not math.isfinite(sup) or sup == 0.0:
-        return 0.0
-    bound = math.exp(kernel.spec.reaction * t) * sup
-    if want_gradient:
-        bound /= math.sqrt(t)
-    return bound
+def _check_float_range(kernel, t):
+    """Reject nonzero data where e^{ct} or the kernel's peak value exceeds float64.
+
+    Every route multiplies by one of the two, so no float answer exists.
+    """
+    log_peak = max(kernel.spec.reaction * t, kernel.log_prefactor(t))
+    if log_peak > LOG_FLOAT_MAX:
+        raise FloatOverflow(f"kernel factor e^{log_peak:.6g} overflows float64")
 
 
 def _hermite_pass(kernel, data, x, t, order, want_gradient):
@@ -116,22 +125,18 @@ def _grid_pass(kernel, grid: GridData, x, t, quad, want_gradient, midpoint):
             grid.origin[j] + grid.spacing[j] * (np.arange(grid.values.shape[j] - 1) + 0.5)
             for j in range(grid.n)
         ]
+        grids = np.meshgrid(*axes, indexing="ij")
+        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
         weights = np.full(vals.size, float(np.prod(grid.spacing)))
     else:
         vals = grid.values
-        axes = [
-            grid.origin[j] + grid.spacing[j] * np.arange(grid.values.shape[j])
-            for j in range(grid.n)
-        ]
-        w1d = [np.ones(len(ax)) for ax in axes]
-        for w in w1d:
-            w[0] = w[-1] = 0.5
+        pts = grid.node_points()
         weights = np.ones(1)
-        for w in w1d:
+        for size in vals.shape:
+            w = np.ones(size)
+            w[0] = w[-1] = 0.5
             weights = np.multiply.outer(weights, w).reshape(-1)
         weights = weights * float(np.prod(grid.spacing))
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
     flat = vals.reshape(-1)
 
     xi = kernel.whitened(x[None, :] - pts, t)
@@ -156,17 +161,26 @@ def _escalation_orders(start: int, dim: int):
     """Hermite orders to try: the configured one, then bounded doublings."""
     orders = [start]
     order = start
-    while order < 1024 and (2 * order) ** dim <= 2**21:
+    while order < 1024 and (2 * order) ** dim <= _MAX_TENSOR_NODES:
         order *= 2
         orders.append(order)
     return orders[:4]
 
 
+def _magnitude(v) -> float:
+    """Euclidean norm of a value or gradient; unlike sqrt(v.v) it cannot overflow."""
+    return math.hypot(*np.atleast_1d(v))
+
+
 def _tolerance_scale(kernel, value, sup, t, want_gradient):
-    return max(
-        float(np.linalg.norm(np.atleast_1d(value))),
-        1e-3 * _solution_scale(kernel, sup, t, want_gradient),
-    )
+    """Error-control scale: |value|, floored at 1e-3 of the bound e^{ct} sup."""
+    scale = _magnitude(value)
+    if not math.isfinite(sup) or sup == 0.0:
+        return scale
+    bound = math.exp(kernel.spec.reaction * t) * sup
+    if want_gradient:
+        bound /= math.sqrt(t)
+    return max(scale, 1e-3 * bound)
 
 
 def _hom_eval(kernel, data, x, t, quad, want_gradient):
@@ -176,15 +190,16 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
     sup = data.sup_norm()
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
+    _check_float_range(kernel, t)
     if isinstance(data, GridData):
         fine = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=False)
         mid = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=True)
-        est = 2.0 / 3.0 * np.linalg.norm(np.atleast_1d(fine - mid))
+        est = 2.0 / 3.0 * _magnitude(fine - mid)
         value = fine
     elif kernel.n == 1 and data.kinks_1d():
         hi = _panel_pass_1d(kernel, data, x, t, 12, quad, want_gradient)
         lo = _panel_pass_1d(kernel, data, x, t, 8, quad, want_gradient)
-        est = float(np.linalg.norm(np.atleast_1d(hi) - np.atleast_1d(lo)))
+        est = _magnitude(hi - lo)
         value = hi
     else:
         orders = _escalation_orders(quad.hermite_order, kernel.n)
@@ -206,7 +221,7 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
         est = math.inf
         for order in orders:
             finer = _hermite_pass(kernel, data, x, t, order, want_gradient)
-            est = float(np.linalg.norm(np.atleast_1d(finer - value)))
+            est = _magnitude(finer - value)
             value = finer
             scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
             if est <= quad.target_rel_err * scale:
@@ -276,6 +291,7 @@ def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
     sup = forcing.sup_norm(t)
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
+    _check_float_range(kernel, t)
     if kernel.spec.reaction != 0.0:
         mass = (math.exp(kernel.spec.reaction * t) - 1.0) / kernel.spec.reaction
     else:
@@ -290,16 +306,13 @@ def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
         coarse_s = _duhamel_pass(
             kernel, forcing, x, t, panels, quad, want_gradient, max(8, order - 16)
         )
-        est = float(
-            np.linalg.norm(np.atleast_1d(fine - coarse_t))
-            + np.linalg.norm(np.atleast_1d(fine - coarse_s))
-        )
+        est = _magnitude(fine - coarse_t) + _magnitude(fine - coarse_s)
         value = fine
         scale = max(
-            float(np.linalg.norm(np.atleast_1d(value))),
+            _magnitude(value),
             1e-3 * abs(mass) * sup / (math.sqrt(t) if want_gradient else 1.0),
         )
-        if est <= quad.target_rel_err * scale or (2 * order) ** kernel.n > 2**21:
+        if est <= quad.target_rel_err * scale or (2 * order) ** kernel.n > _MAX_TENSOR_NODES:
             break
         panels, order = 2 * panels, 2 * order
     if scale > 0.0 and est > quad.target_rel_err * scale:
@@ -327,7 +340,10 @@ def solve_batch(kernel, data, points, times, quad=DEFAULT_QUADRATURE, jobs=None,
     jobs > 1 runs evaluations in a thread pool (every evaluation is pure),
     with output order still fixed by the input order.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = np.asarray(points, dtype=float)
+    if points.shape == (0,):
+        points = points.reshape(0, kernel.n)
+    points = np.atleast_2d(points)
     times = np.asarray(times, dtype=float).reshape(-1)
     if len(times) != points.shape[0]:
         raise DomainError("points and times must have matching lengths")
@@ -343,4 +359,4 @@ def solve_batch(kernel, data, points, times, quad=DEFAULT_QUADRATURE, jobs=None,
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(lambda xt: fn(kernel, data, xt[0], xt[1], quad), tasks))
-    return np.asarray(results)
+    return np.asarray(results, dtype=float).reshape((len(tasks), kernel.n) if gradient else -1)

@@ -209,7 +209,8 @@ class GridData(SourceFunction):
     The support box runs from origin to origin + spacing * (dims - 1).
     L^p norms (finite p) integrate the interpolant by midpoint rules at
     three refinement levels with Richardson extrapolation; the relative
-    error estimate of the norm is stored in norm_error_estimate.
+    error estimate of the most recent finite-p norm is stored in
+    norm_error_estimate.
     """
 
     def __init__(self, origin, spacing, values):
@@ -233,14 +234,6 @@ class GridData(SourceFunction):
     @property
     def n(self):
         return self.origin.shape[0]
-
-    @property
-    def support_lo(self):
-        return self.origin
-
-    @property
-    def support_hi(self):
-        return self.origin + self.spacing * (np.asarray(self.values.shape) - 1)
 
     def node_points(self):
         axes = [
@@ -285,19 +278,16 @@ class GridData(SourceFunction):
         if p == math.inf:
             # the multilinear interpolant attains its extremes at nodes
             return float(np.abs(self.values).max())
-        if p in self._norm_cache:
-            return self._norm_cache[p]
-        i1 = self._midpoint_power_integral(p, 1)
-        i2 = self._midpoint_power_integral(p, 2)
-        i4 = self._midpoint_power_integral(p, 4)
-        e1 = (4.0 * i2 - i1) / 3.0
-        e2 = (4.0 * i4 - i2) / 3.0
-        value = e2 ** (1.0 / p)
-        if value > 0.0:
-            self.norm_error_estimate = abs(e2 - e1) / (p * max(e2, 1e-300))
-        else:
-            self.norm_error_estimate = 0.0
-        self._norm_cache[p] = value
+        if p not in self._norm_cache:
+            i1 = self._midpoint_power_integral(p, 1)
+            i2 = self._midpoint_power_integral(p, 2)
+            i4 = self._midpoint_power_integral(p, 4)
+            e1 = (4.0 * i2 - i1) / 3.0
+            e2 = (4.0 * i4 - i2) / 3.0
+            value = e2 ** (1.0 / p)
+            estimate = abs(e2 - e1) / (p * max(e2, 1e-300)) if value > 0.0 else 0.0
+            self._norm_cache[p] = (value, estimate)
+        value, self.norm_error_estimate = self._norm_cache[p]
         return value
 
 

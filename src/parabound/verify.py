@@ -243,6 +243,23 @@ class ExtremalTarget:
                 raise DomainError("mollification only applies to p = inf")
 
 
+def _extremal_profile(kernel, target: ExtremalTarget, normalizer: float, pts, eta):
+    """-sign(k) |k|^{p'-1} / Z with k(y) = (grad G(x0 - y, eta), l).
+
+    For p = inf the power drops out: -sign(k), or -tanh(k / mollify) when
+    mollified.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    ell = np.asarray(target.direction)
+    k = kernel.gradient(np.asarray(target.x0)[None, :] - pts, eta) @ ell
+    if target.p == math.inf:
+        if target.mollify > 0:
+            return -np.tanh(k / target.mollify)
+        return -np.sign(k)
+    pc = conjugate_exponent(target.p)
+    return -np.sign(k) * np.abs(k) ** (pc - 1.0) / normalizer
+
+
 class ExtremalInitialData(SourceFunction):
     """Initial data attaining the homogeneous duality equality.
 
@@ -257,18 +274,8 @@ class ExtremalInitialData(SourceFunction):
         self.normalizer = normalizer
         self.n = kernel.n
 
-    def _k(self, pts):
-        ell = np.asarray(self.target.direction)
-        return self.kernel.gradient(np.asarray(self.target.x0)[None, :] - pts, self.target.t0) @ ell
-
     def __call__(self, pts):
-        k = self._k(np.atleast_2d(np.asarray(pts, dtype=float)))
-        if self.target.p == math.inf:
-            if self.target.mollify > 0:
-                return -np.tanh(k / self.target.mollify)
-            return -np.sign(k)
-        pc = conjugate_exponent(self.target.p)
-        return -np.sign(k) * np.abs(k) ** (pc - 1.0) / self.normalizer
+        return _extremal_profile(self.kernel, self.target, self.normalizer, pts, self.target.t0)
 
     def kinks_1d(self):
         if self.n != 1:
@@ -284,14 +291,10 @@ class ExtremalInitialData(SourceFunction):
         return center[None, :] + sigma * np.outer(offsets, ell)
 
     def sup_norm(self):
-        if self.target.p == math.inf:
-            if self.target.mollify > 0:
-                k = self._k(self._scan_points())
-                return float(np.tanh(np.abs(k).max() / self.target.mollify))
-            return 1.0
-        pc = conjugate_exponent(self.target.p)
-        k = self._k(self._scan_points())
-        return float(np.abs(k).max() ** (pc - 1.0) / self.normalizer)
+        if self.target.p == math.inf and self.target.mollify == 0:
+            return 1.0  # -sign(k); the solver asks for this on every evaluation
+        # |phi*| increases with |k|, so the scan along l through the peak finds its sup
+        return float(np.abs(self(self._scan_points())).max())
 
     def lp_norm(self, p):
         if p == math.inf:
@@ -347,23 +350,13 @@ class ExtremalForcing(SpaceTimeSource):
         self.normalizer = normalizer
         self.n = kernel.n
 
-    def profile_from_kernel_gradient(self, k):
-        """Sign/power transform of the directional kernel gradient values."""
-        if self.target.p == math.inf:
-            return -np.tanh(k / self.target.mollify)
-        pc = conjugate_exponent(self.target.p)
-        return -np.sign(k) * np.abs(k) ** (pc - 1.0) / self.normalizer
-
     def kernel_time_profile(self, pts, eta):
         """Forcing values at kernel time eta = t0 - tau, passed exactly.
 
         Avoids the tau = t0 - eta -> eta float round trip, whose relative
         error eps t0 / eta ruins the singular small-eta region.
         """
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        ell = np.asarray(self.target.direction)
-        k = self.kernel.gradient(np.asarray(self.target.x0)[None, :] - pts, eta) @ ell
-        return self.profile_from_kernel_gradient(k)
+        return _extremal_profile(self.kernel, self.target, self.normalizer, pts, eta)
 
     def __call__(self, pts, tau):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -453,17 +446,19 @@ class VerificationReport:
     passed: bool
     config: dict = field(default_factory=dict)
 
+    def record(self) -> dict:
+        """The printed fields of the report (config stays internal)."""
+        return {
+            "check": self.check,
+            "closed_form": self.closed_form,
+            "oracle": self.oracle,
+            "rel_err": self.rel_err,
+            "ratio": self.ratio,
+            "passed": self.passed,
+        }
+
     def json_line(self) -> str:
-        return json.dumps(
-            {
-                "check": self.check,
-                "closed_form": self.closed_form,
-                "oracle": self.oracle,
-                "rel_err": self.rel_err,
-                "ratio": self.ratio,
-                "passed": self.passed,
-            }
-        )
+        return json.dumps(self.record())
 
 
 def make_report(check, closed_form, oracle, tolerance, ratio=None, ratio_floor=None,

@@ -1,13 +1,18 @@
 """CLI integration tests: output formats, exit codes, manifest round trips."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parabound import cli
 from parabound.sources import GridData, write_grid
@@ -132,6 +137,35 @@ class TestOverflow:
         )
         assert math.isfinite(record["value"]) and record["value"] > 0.0
 
+    def test_solve_reaction_overflow(self, capsys):
+        def solve(spec):
+            return run_cli(["solve", "--spec-json", spec, "--kind", "hom",
+                            "--data", "constant:value=1", "--points", "0,1"])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert solve(self.SPEC) == 2
+            assert "overflows float64" in capsys.readouterr().err
+            # e^355 is finite, but its square (a naive norm) is not
+            assert solve(json.dumps({"n": 1, "A": [[1]], "b": [0], "c": 355, "T": 8})) == 0
+        row = capsys.readouterr().out.splitlines()[2].split(",")
+        assert float(row[2]) == pytest.approx(math.exp(355.0), rel=1e-12)
+
+    def test_sweep_overflowing_cell_is_nan(self, capsys):
+        code = run_cli(["sweep", "--spec-json", self.SPEC, "--kind", "hom",
+                        "--p-grid", "2", "--t-grid", "0.1,1", "--dir", "1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = [line.split(",") for line in captured.out.splitlines()[2:]]
+        assert len(rows) == 2
+        assert math.isfinite(float(rows[0][2])) and math.isfinite(float(rows[0][3]))
+        assert rows[1][2:4] == ["NaN", "NaN"]
+        assert "warning: p=2.0 t=1.0" in captured.err
+        assert "overflows float64" in captured.err
+        # a time beyond the horizon is still an input error
+        assert run_cli(["sweep", "--spec-json", self.SPEC, "--kind", "hom",
+                        "--p-grid", "2", "--t-grid", "0.1,9", "--dir", "1"]) == 2
+
 
 class TestSolveCommand:
     def test_exit_2_beyond_horizon(self):
@@ -217,6 +251,15 @@ class TestSolveCommand:
         assert run_cli(argv + ["--out", str(out1)]) == 0
         assert run_cli(argv + ["--jobs", "4", "--out", str(out4)]) == 0
         assert numeric_lines(out1) == numeric_lines(out4)
+
+    def test_empty_point_list(self, spec_path, tmp_path):
+        out = tmp_path / "empty.csv"
+        for kind in ("hom", "nonhom"):
+            code = run_cli(["solve", "--spec", spec_path, "--kind", kind,
+                            "--data", "constant:value=1", "--points", ";", "--out", str(out)])
+            assert code == 0
+            lines = out.read_text().splitlines()
+            assert len(lines) == 2 and lines[1] == "x_1,t,u,du_dx1"
 
     def test_points_file(self, spec_path, tmp_path):
         pts = tmp_path / "points.txt"
@@ -374,3 +417,54 @@ class TestEnvOverride:
         run_cli(["constant", "--spec", spec_path, "--kind", "hom", "--p", "2",
                  "--t", "1", "--dir", "1", "--quad-order", "48", "--out", str(out)])
         assert json.loads(out.read_text())["manifest"]["quadrature"]["hermite_order"] == 48
+
+
+@st.composite
+def fuzz_invocation(draw):
+    """A random spec, command, exponent and times for one cli.main call."""
+    command = draw(st.sampled_from(["constant", "sweep", "solve"]))
+    n = 1 if command == "solve" else draw(st.integers(1, 8))
+    spec = {
+        "n": n,
+        "A": np.diag(draw(st.lists(st.floats(0.01, 100.0), min_size=n, max_size=n))).tolist(),
+        "b": draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)),
+        "c": draw(st.floats(-1000.0, 1000.0)),
+        "T": draw(st.one_of(st.floats(1e-3, 0.1), st.floats(1.0, 1e3))),
+    }
+    horizon = spec["T"]
+    time = st.one_of(
+        st.floats(-1.0, 0.0),
+        st.floats(1e-6, 1.0).map(lambda f: f * horizon),
+        st.floats(1.0 + 1e-9, 10.0).map(lambda f: f * horizon),
+    )
+    exponent = st.sampled_from(["0.5", "1", str(n + 2), str(n + 2.01), "1e4", "inf", "nan"])
+    kind = draw(st.sampled_from(["hom", "nonhom"]))
+    argv = [command, "--spec-json", json.dumps(spec)]
+    if command == "constant":
+        argv += ["--kind", kind, "--p", draw(exponent), f"--t={draw(time)!r}"]
+        argv += draw(st.sampled_from([["--max"], ["--dir", ",".join(["1"] + ["0"] * (n - 1))]]))
+    elif command == "sweep":
+        argv += ["--kind", kind, "--max",
+                 "--p-grid", ",".join(draw(st.lists(exponent, min_size=1, max_size=3))),
+                 "--t-grid=" + ",".join(repr(v) for v in draw(st.lists(time, min_size=1,
+                                                                       max_size=3)))]
+    else:
+        data = draw(st.sampled_from(["constant:value=1", "gaussian:spread=0.5,center=0.3",
+                                     "box:lo=-1,hi=1"]))
+        points = draw(st.lists(st.tuples(st.floats(-5.0, 5.0), time), min_size=1, max_size=2))
+        argv += ["--kind", "hom", "--data", data,
+                 "--points=" + ";".join(f"{x!r},{t!r}" for x, t in points)]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=fuzz_invocation())
+def test_fuzz_main_exits_with_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 2, 3, 4), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    assert [str(w.message) for w in caught] == []

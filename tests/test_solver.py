@@ -267,3 +267,11 @@ class TestBatch:
         phi = GaussianBump(center=(0.0, 0.0), spread=1.0)
         out = sv.solve_batch(k, phi, np.zeros((3, 2)), [0.5, 1.0, 1.5], gradient=True)
         assert out.shape == (3, 2)
+
+    def test_zero_points(self):
+        k = make_kernel(np.eye(2), [0.0, 0.0], 0.0)
+        phi = GaussianBump(center=(0.0, 0.0), spread=1.0)
+        assert sv.solve_batch(k, phi, [], []).shape == (0,)
+        assert sv.solve_batch(k, phi, [], [], gradient=True).shape == (0, 2)
+        with pytest.raises(DomainError):
+            sv.solve_batch(k, phi, [[0.0, 0.0, 0.0]], [1.0])

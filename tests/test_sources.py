@@ -96,6 +96,15 @@ class TestGridData:
             assert grid.norm_error_estimate <= 1e-8
         assert grid.lp_norm(math.inf) == pytest.approx(1.0, rel=1e-15)
 
+    def test_error_estimate_follows_the_last_norm(self):
+        grid, _ = self._gaussian_grid(h=0.1, half_width=6.0)
+        grid.lp_norm(2.0)
+        first = grid.norm_error_estimate
+        grid.lp_norm(4.0)
+        assert grid.norm_error_estimate != first
+        grid.lp_norm(2.0)  # cached value: the estimate must be p = 2's again
+        assert grid.norm_error_estimate == first
+
     def test_2d_norm(self):
         h = 0.05
         xs = np.arange(-5, 5 + h / 2, h)
