@@ -334,6 +334,7 @@ def cmd_sweep(args) -> int:
     label = "k" if args.kind == "hom" else "c"
 
     def cell(p, t):
+        """(dir value, max value, warning text or None) of one grid cell."""
         dir_val = math.nan
         max_val = math.nan
         try:
@@ -341,8 +342,8 @@ def cmd_sweep(args) -> int:
                 dir_val = fn(kernel, p, t, direction).value
             max_val = fn(kernel, p, t).value
         except (ExponentTooSmall, DivergentIntegral, FloatOverflow) as exc:
-            print(f"warning: p={exponent_token(p)} t={t}: {exc}", file=sys.stderr)
-        return dir_val, max_val
+            return dir_val, max_val, f"warning: p={exponent_token(p)} t={t}: {exc}"
+        return dir_val, max_val, None
 
     cells = [(p, t) for p in p_grid for t in t_grid]
     if args.jobs > 1:
@@ -352,6 +353,10 @@ def cmd_sweep(args) -> int:
             results = list(pool.map(lambda pt: cell(*pt), cells))
     else:
         results = [cell(p, t) for p, t in cells]
+    # printed here, in cell order, so pool threads cannot interleave them
+    for _, _, warning in results:
+        if warning is not None:
+            print(warning, file=sys.stderr)
     manifest = base_manifest(args, "sweep", quad, spec)
     manifest.update(
         kind=args.kind,
@@ -364,7 +369,7 @@ def cmd_sweep(args) -> int:
     with open_output(args.out) as fh:
         fh.write("# manifest: " + dumps(manifest) + "\n")
         fh.write(f"p,t,{label}_dir,{label}_max,t_trend\n")
-        for idx, ((p, t), (dir_val, max_val)) in enumerate(zip(cells, results)):
+        for idx, ((p, t), (dir_val, max_val, _)) in enumerate(zip(cells, results)):
             trend = ""
             if idx % len(t_grid) > 0:
                 prev = results[idx - 1][1]

@@ -12,14 +12,18 @@ from functools import lru_cache
 
 import numpy as np
 
+# pruned_hermite_tensor drops product weights at or below this fraction of
+# the total weight.
+HERMITE_PRUNE_REL = 1e-18
+
 
 @lru_cache(maxsize=64)
 def hermite_rule(order: int):
     """1-D Gauss-Hermite nodes/weights for weight exp(-x^2).
 
-    numpy's construction overflows at high order (order 384 already gives
-    NaN weights) without raising; callers must check that their results
-    are finite.
+    numpy's construction overflows at high order (from order 384 up the
+    weights are NaN) without raising; callers must not evaluate a rule
+    whose weights are not finite.
     """
     with np.errstate(all="ignore"):
         x, w = np.polynomial.hermite.hermgauss(order)
@@ -46,6 +50,30 @@ def hermite_tensor(order: int, dim: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
+
+
+@lru_cache(maxsize=64)
+def pruned_hermite_tensor(order: int, dim: int):
+    """hermite_tensor(order, dim) without its nodes of negligible weight.
+
+    Keeps the nodes whose product weight exceeds HERMITE_PRUNE_REL times
+    the total weight (Jaeckel 2005, "A note on multivariate Gauss-Hermite
+    quadrature"). Returns (nodes, weights, mass, moment), where mass is
+    sum w and moment is sum w |xi| over the dropped nodes, so a caller can
+    bound what they would have added. The weights are symmetric under
+    xi -> -xi, so the kept set keeps the full rule's pairing: node k and
+    node N-1-k are negatives of each other.
+    """
+    nodes, weights = hermite_tensor(order, dim)
+    keep = weights > HERMITE_PRUNE_REL * weights.sum()
+    drop = ~keep
+    radius = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
+    mass = float(weights[drop].sum())
+    moment = float(weights[drop] @ radius[drop])
+    nodes, weights = nodes[keep], weights[keep]
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights, mass, moment
 
 
 @lru_cache(maxsize=64)

@@ -7,6 +7,15 @@ Gauss-Hermite the natural rule:
 
     u(x, t) = e^{ct} pi^{-n/2} * sum_i w_i phi(x + t b - 2 sqrt(t) A^{1/2} xi_i).
 
+The rule is pruned (quadrature.pruned_hermite_tensor): nodes whose product
+weight is at most 1e-18 of the total are dropped. Their mass D = sum w and
+moment M = sum w |xi| are known, so with front = e^{ct} pi^{-n/2} what they
+would add is at most front sup|phi| D for u and
+front sup|phi| M ||A^{-1/2}||_2 / sqrt(t) for grad u; that bound joins
+every Hermite error estimate (data with infinite sup takes the full rule).
+The kept nodes come in +-xi pairs, so the gradient sums
+w xi (phi(y+) - phi(y-)) over pairs and is exactly 0 for constant data.
+
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
 behavior of the gradient integrand; composite Gauss-Legendre panels in
@@ -34,8 +43,15 @@ from .errors import (
     UnsupportedData,
 )
 from .kernel import FundamentalSolution
-from .mathcore import LOG_FLOAT_MAX
-from .quadrature import hermite_tensor, legendre_rule, panel_edges, panel_nodes
+from .mathcore import LOG_FLOAT_MAX, spectral_norm_inv_sqrt
+from .quadrature import (
+    hermite_rule,
+    hermite_tensor,
+    legendre_rule,
+    panel_edges,
+    panel_nodes,
+    pruned_hermite_tensor,
+)
 from .sources import GridData, SourceFunction, SpaceTimeSource
 
 SOLVER_MAX_DIM = 3
@@ -75,26 +91,54 @@ def _check_solver_args(kernel: FundamentalSolution, x, t: float):
     return x, float(t)
 
 
-def _check_float_range(kernel, t):
+def _check_float_range(kernel, t, want_gradient=False):
     """Reject nonzero data where e^{ct} or the kernel's peak value exceeds float64.
 
     Every route multiplies by one of the two, so no float answer exists.
+    With want_gradient the peak of |grad G(., t)|,
+    e^{log_prefactor} ||A^{-1/2}||_2 / sqrt(2 e t), must fit as well.
     """
-    log_peak = max(kernel.spec.reaction * t, kernel.log_prefactor(t))
+    log_pref = kernel.log_prefactor(t)
+    log_peak = max(kernel.spec.reaction * t, log_pref)
+    if want_gradient:
+        grad_factor = spectral_norm_inv_sqrt(kernel.dec) / math.sqrt(2.0 * math.e * t)
+        log_peak = max(log_peak, log_pref + math.log(grad_factor))
     if log_peak > LOG_FLOAT_MAX:
         raise FloatOverflow(f"kernel factor e^{log_peak:.6g} overflows float64")
 
 
-def _hermite_pass(kernel, data, x, t, order, want_gradient):
-    xi, w = hermite_tensor(order, kernel.n)
-    sqrt_t2 = 2.0 * math.sqrt(t)
-    y = x + t * kernel.spec.drift - sqrt_t2 * (xi @ kernel.sqrt)
-    vals = data(y)
+def _hermite_pass(kernel, data, x, t, order, want_gradient, sup):
+    """One tensor Gauss-Hermite pass over the pruned rule, summed by +-xi pairs.
+
+    Returns the value (or gradient) and a bound on what the pruned nodes
+    would add: front sup D, or front / sqrt(t) sup M ||A^{-1/2}||_2 for the
+    gradient. Data with infinite sup takes the full rule (bound 0). Raises
+    QuadratureFailure, without evaluating anything, for an order whose
+    numpy weights are not finite (order 384 and up).
+    """
+    if not np.all(np.isfinite(hermite_rule(order)[1])):
+        raise QuadratureFailure(f"Gauss-Hermite order {order} has non-finite weights")
+    if math.isfinite(sup):
+        xi, w, mass, moment = pruned_hermite_tensor(order, kernel.n)
+    else:
+        (xi, w), mass, moment = hermite_tensor(order, kernel.n), 0.0, 0.0
+    # node k and node N-1-k are negatives; an odd rule keeps xi = 0 in the middle
+    half, odd = divmod(len(w), 2)
+    center = x + t * kernel.spec.drift
+    shift = 2.0 * math.sqrt(t) * (xi[:half] @ kernel.sqrt)
+    vals = data(np.concatenate([center - shift, center[None][:odd], center + shift]))
+    plus, minus = vals[:half], vals[half + odd:]
     front = math.exp(kernel.spec.reaction * t) * math.pi ** (-kernel.n / 2.0)
     if want_gradient:
-        vec = xi @ kernel.inv_sqrt
-        return -front / math.sqrt(t) * ((w * vals) @ vec)
-    return front * float(w @ vals)
+        vec = xi[:half] @ kernel.inv_sqrt
+        grad = -front / math.sqrt(t) * ((w[:half] * (plus - minus)) @ vec)
+        if moment == 0.0:
+            return grad, 0.0
+        return grad, front / math.sqrt(t) * sup * moment * spectral_norm_inv_sqrt(kernel.dec)
+    value = float(w[:half] @ (plus + minus))
+    if odd:
+        value += float(w[half] * vals[half])
+    return front * value, (front * sup * mass if mass else 0.0)
 
 
 def _panel_pass_1d(kernel, data, x, t, order, quad, want_gradient):
@@ -190,7 +234,7 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
     sup = data.sup_norm()
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
-    _check_float_range(kernel, t)
+    _check_float_range(kernel, t, want_gradient)
     if isinstance(data, GridData):
         fine = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=False)
         mid = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=True)
@@ -217,11 +261,12 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
                     f"data feature width {width:.3e} (whitened) below half the "
                     f"finest node spacing {spacing:.3e}; refine or rescale"
                 )
-        value = _hermite_pass(kernel, data, x, t, max(8, quad.hermite_order - 16), want_gradient)
+        coarse = max(8, quad.hermite_order - 16)
+        value, _ = _hermite_pass(kernel, data, x, t, coarse, want_gradient, sup)
         est = math.inf
         for order in orders:
-            finer = _hermite_pass(kernel, data, x, t, order, want_gradient)
-            est = _magnitude(finer - value)
+            finer, dropped = _hermite_pass(kernel, data, x, t, order, want_gradient, sup)
+            est = _magnitude(finer - value) + dropped
             value = finer
             scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
             if est <= quad.target_rel_err * scale:
@@ -264,8 +309,13 @@ class _Slice(SourceFunction):
         return self.forcing.spatial_kinks(self.tau)
 
 
-def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order):
-    # sigma nodes on (0, sqrt t) with t - tau = sigma^2
+def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order, sup):
+    """Duhamel integral over sigma nodes on (0, sqrt t), t - tau = sigma^2.
+
+    Returns the integral, the summed pruned-node bound of its Hermite
+    passes, and whether any sigma node took the Hermite route (otherwise
+    inner_order played no part).
+    """
     gl_x, gl_w = legendre_rule(8)
     edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
     a, b = edges[:-1][:, None], edges[1:][:, None]
@@ -273,15 +323,19 @@ def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_or
     sigmas = (a + half * (gl_x[None, :] + 1.0)).reshape(-1)
     sig_w = (half * gl_w[None, :]).reshape(-1)
     acc = np.zeros(kernel.n) if want_gradient else 0.0
+    dropped = 0.0
+    used_hermite = False
     for sigma, w in zip(sigmas, sig_w):
         s = sigma * sigma
         data = _Slice(forcing, t - s)
         if kernel.n == 1 and data.kinks_1d():
             inner = _panel_pass_1d(kernel, data, x, s, 12, quad, want_gradient)
         else:
-            inner = _hermite_pass(kernel, data, x, s, inner_order, want_gradient)
+            inner, bound = _hermite_pass(kernel, data, x, s, inner_order, want_gradient, sup)
+            dropped += 2.0 * sigma * w * bound
+            used_hermite = True
         acc = acc + (2.0 * sigma * w) * inner
-    return acc
+    return acc, dropped, used_hermite
 
 
 def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
@@ -299,14 +353,19 @@ def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
     value = est = None
     panels, order = quad.time_panels, quad.hermite_order
     for attempt in range(3):
-        fine = _duhamel_pass(kernel, forcing, x, t, panels, quad, want_gradient, order)
-        coarse_t = _duhamel_pass(
-            kernel, forcing, x, t, max(4, panels // 2), quad, want_gradient, order
+        fine, dropped, used_hermite = _duhamel_pass(
+            kernel, forcing, x, t, panels, quad, want_gradient, order, sup
         )
-        coarse_s = _duhamel_pass(
-            kernel, forcing, x, t, panels, quad, want_gradient, max(8, order - 16)
+        coarse_t, _, _ = _duhamel_pass(
+            kernel, forcing, x, t, max(4, panels // 2), quad, want_gradient, order, sup
         )
-        est = _magnitude(fine - coarse_t) + _magnitude(fine - coarse_s)
+        est = _magnitude(fine - coarse_t) + dropped
+        if used_hermite:
+            # the kink-panel route ignores order, so this pass would repeat fine
+            coarse_s, _, _ = _duhamel_pass(
+                kernel, forcing, x, t, panels, quad, want_gradient, max(8, order - 16), sup
+            )
+            est += _magnitude(fine - coarse_s)
         value = fine
         scale = max(
             _magnitude(value),

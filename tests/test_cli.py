@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -165,6 +166,17 @@ class TestOverflow:
         # a time beyond the horizon is still an input error
         assert run_cli(["sweep", "--spec-json", self.SPEC, "--kind", "hom",
                         "--p-grid", "2", "--t-grid", "0.1,9", "--dir", "1"]) == 2
+
+
+    def test_solve_gradient_peak_overflow(self, capsys):
+        # the kernel peak e^708.2 fits, the peak of its gradient does not
+        spec = json.dumps({"n": 1, "A": [[0.01]], "b": [0], "c": 1000, "T": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve", "--spec-json", spec, "--kind", "hom",
+                            "--data", "box:lo=-1,hi=1", "--points", "0.95,0.707"])
+        assert code == 2
+        assert "overflows float64" in capsys.readouterr().err
 
 
 class TestSolveCommand:
@@ -338,6 +350,17 @@ class TestSweepCommand:
         assert vals["4"] / vals["1"] == pytest.approx(2.0, rel=1e-12)
 
 
+class _ThreadCheckedStream(io.StringIO):
+    """Text stream that notes whether every write came from the main thread."""
+
+    main_thread_only = True
+
+    def write(self, text):
+        if threading.current_thread() is not threading.main_thread():
+            self.main_thread_only = False
+        return super().write(text)
+
+
 class TestSweepJobs:
     def test_jobs_output_identical(self, spec_path, tmp_path):
         argv = ["sweep", "--spec", spec_path, "--kind", "hom",
@@ -346,6 +369,22 @@ class TestSweepJobs:
         assert run_cli(argv + ["--out", str(out1)]) == 0
         assert run_cli(argv + ["--jobs", "3", "--out", str(out2)]) == 0
         assert numeric_lines(out1) == numeric_lines(out2)
+
+
+    def test_jobs_warnings_identical(self, monkeypatch):
+        argv = ["sweep", "--spec-json", json.dumps(SPEC_2D), "--kind", "nonhom",
+                "--p-grid", "3,5,inf", "--t-grid", "0.1,0.5,1", "--dir", "1,0"]
+        errs = []
+        for jobs in ("1", "2"):
+            err = _ThreadCheckedStream()
+            monkeypatch.setattr(sys, "stderr", err)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run_cli(argv + ["--jobs", jobs]) == 0
+            # a write from a pool thread could land inside another line
+            assert err.main_thread_only
+            errs.append(err.getvalue())
+        assert errs[0].count("warning: p=3.0") == 3
+        assert errs[1] == errs[0]
 
 
 class TestManifestRoundTrip:

@@ -1,0 +1,41 @@
+"""Quadrature building blocks: the pruned tensor Gauss-Hermite rule."""
+
+import numpy as np
+import pytest
+
+from parabound import verify
+from parabound.quadrature import HERMITE_PRUNE_REL, hermite_tensor, pruned_hermite_tensor
+
+
+class TestPrunedHermiteTensor:
+    @pytest.mark.parametrize("dim, orders", [(1, (63, 64, 255, 256)), (2, (63, 64, 128)),
+                                             (3, (47, 48, 64))])
+    def test_kept_set_is_reflection_paired(self, dim, orders):
+        for order in orders:
+            nodes, weights, _, _ = pruned_hermite_tensor(order, dim)
+            assert np.array_equal(nodes, -nodes[::-1])
+            assert np.array_equal(weights, weights[::-1])
+            if order % 2:
+                assert np.array_equal(nodes[len(weights) // 2], np.zeros(dim))
+
+    @pytest.mark.parametrize("dim, order", [(1, 8), (1, 256), (2, 64), (2, 256), (3, 48), (3, 128)])
+    def test_dropped_mass_and_moment(self, dim, order):
+        full_nodes, full_weights = hermite_tensor(order, dim)
+        nodes, weights, mass, moment = pruned_hermite_tensor(order, dim)
+        threshold = HERMITE_PRUNE_REL * full_weights.sum()
+        drop = full_weights <= threshold
+        assert np.all(weights > threshold)
+        assert len(weights) + int(drop.sum()) == len(full_weights)
+        assert np.array_equal(nodes, full_nodes[~drop])
+        # every dropped weight is at most the threshold, so D <= threshold x count
+        assert mass <= threshold * max(int(drop.sum()), 1)
+        assert mass == pytest.approx(float(full_weights[drop].sum()), rel=1e-12, abs=0.0)
+        radius = np.linalg.norm(full_nodes[drop], axis=1)
+        assert moment == pytest.approx(float(full_weights[drop] @ radius), rel=1e-12, abs=0.0)
+        assert weights.sum() + mass == pytest.approx(np.pi ** (dim / 2.0), rel=1e-13)
+        if order == 8:
+            assert mass == 0.0 and moment == 0.0 and len(weights) == order**dim
+
+    def test_oracles_keep_the_full_rule(self):
+        assert verify.hermite_tensor is hermite_tensor
+        assert not hasattr(verify, "pruned_hermite_tensor")

@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 from parabound import solver as sv
-from parabound.errors import DomainError, QuadratureFailure, UnsupportedData
+from parabound.errors import DomainError, FloatOverflow, QuadratureFailure, UnsupportedData
 from parabound.sources import (
     BoxIndicator,
     ConstantData,
     GaussianBump,
     GridData,
+    SourceFunction,
     TimeInvariantForcing,
 )
 
@@ -136,6 +137,121 @@ class TestSolveHomogeneous:
             assert composed == pytest.approx(direct, rel=1e-6)
 
 
+def gaussian_closed_form(kernel, phi, x, t):
+    """u and grad u for GaussianBump data: the kernel and phi are both Gaussians.
+
+    u = e^{ct} amp det(I + tA/s)^{-1/2} exp(-z.S^{-1}z / 4), S = sI + tA,
+    z = x + tb - center, and grad u = -S^{-1}z u / 2.
+    """
+    n, s = kernel.n, phi.spread
+    a = kernel.spec.diffusion.entries
+    big_s = s * np.eye(n) + t * a
+    z = np.asarray(x) + t * kernel.spec.drift - np.asarray(phi.center)
+    s_inv_z = np.linalg.solve(big_s, z)
+    u = (math.exp(kernel.spec.reaction * t) * phi.amp
+         * np.linalg.det(np.eye(n) + t * a / s) ** -0.5 * math.exp(-(z @ s_inv_z) / 4.0))
+    return u, -0.5 * s_inv_z * u
+
+
+class _CountingSource(SourceFunction):
+    """Wraps spatial data and records the batch size of every evaluation."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+        self.sizes = []
+
+    def __call__(self, pts):
+        self.sizes.append(len(pts))
+        return self.inner(pts)
+
+    def lp_norm(self, p):
+        return self.inner.lp_norm(p)
+
+    def localization(self):
+        return self.inner.localization()
+
+
+class TestPrunedRule:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_data_gradient_is_exactly_zero(self, n):
+        rng = np.random.default_rng(20 + n)
+        k = random_kernel(rng, n)
+        for t in (0.3, 2.0):
+            grad = sv.gradient_homogeneous(k, ConstantData(1.7, dim=n), rng.uniform(-2, 2, n), t)
+            assert np.all(grad == 0.0)
+
+    @pytest.mark.parametrize("n, band", [(1, (0.2, 1.0)), (2, (0.2, 1.0)), (3, (0.2, 1.0)),
+                                         (1, (2.0, 4.0)), (2, (2.0, 4.0))])
+    def test_gaussian_matches_closed_form(self, n, band):
+        # tau = t lam_max / w^2 with w^2 = 2 spread: below 1 the first rule
+        # converges, from 2 to 4 the solver escalates
+        rng = np.random.default_rng(int(10 * band[0]) + n)
+        quad = sv.DEFAULT_QUADRATURE
+        for _ in range(3):
+            k = random_kernel(rng, n)
+            spread = 0.2
+            lam_max = float(k.dec.eigenvalues[-1])
+            t = float(rng.uniform(*band)) * 2.0 * spread / lam_max
+            center = rng.uniform(-0.5, 0.5, n)
+            phi = GaussianBump(center=tuple(center), spread=spread, amp=1.3)
+            x = center - t * k.spec.drift + rng.uniform(-1, 1, n) * math.sqrt(spread + t * lam_max)
+            u = sv.solve_homogeneous(k, phi, x, t)
+            grad = sv.gradient_homogeneous(k, phi, x, t)
+            u_ref, grad_ref = gaussian_closed_form(k, phi, x, t)
+            if band[0] < 1.0:
+                assert u == pytest.approx(u_ref, rel=1e-11)
+                assert np.linalg.norm(grad - grad_ref) <= 1e-10 * np.linalg.norm(grad_ref)
+            else:
+                # the solver's error control: target_rel_err x its tolerance scale
+                bound = math.exp(k.spec.reaction * t) * phi.amp
+                tol = quad.target_rel_err * max(abs(u_ref), 1e-3 * bound)
+                assert abs(u - u_ref) <= tol
+                grad_scale = max(np.linalg.norm(grad_ref), 1e-3 * bound / math.sqrt(t))
+                assert np.linalg.norm(grad - grad_ref) <= quad.target_rel_err * grad_scale
+
+    def test_dropped_node_bound(self):
+        rng = np.random.default_rng(4)
+        k = random_kernel(rng, 2)
+        phi = GaussianBump(center=(0.1, -0.2), spread=0.5, amp=-2.0)
+        x, t, order = np.array([0.3, 0.4]), 0.7, 64
+        _, _, mass, moment = sv.pruned_hermite_tensor(order, 2)
+        assert mass > 0.0 and moment > 0.0
+        front = math.exp(k.spec.reaction * t) / math.pi
+        _, bound = sv._hermite_pass(k, phi, x, t, order, False, 2.0)
+        assert bound == pytest.approx(front * 2.0 * mass, rel=1e-14, abs=0.0)
+        _, bound = sv._hermite_pass(k, phi, x, t, order, True, 2.0)
+        norm = 1.0 / math.sqrt(float(k.dec.eigenvalues[0]))
+        expected = front / math.sqrt(t) * 2.0 * moment * norm
+        assert bound == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+    def test_unbounded_data_takes_the_full_rule(self):
+        class Unbounded(_CountingSource):
+            def lp_norm(self, p):
+                return math.inf
+
+        data = Unbounded(GaussianBump(center=(0.0, 0.0), spread=1.0))
+        k = make_kernel(np.eye(2), np.zeros(2), 0.0)
+        u = sv.solve_homogeneous(k, data, [0.2, 0.1], 0.5)
+        assert u == pytest.approx(gaussian_closed_form(k, data.inner, [0.2, 0.1], 0.5)[0],
+                                  rel=1e-11)
+        assert data.sizes == [48**2, 64**2]
+        value, bound = sv._hermite_pass(k, data, np.zeros(2), 0.5, 64, True, math.inf)
+        assert bound == 0.0 and np.all(np.isfinite(value))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rule_with_nan_weights_is_never_evaluated(self, n):
+        # tau = 25: the escalation ladder ends at order 512, whose numpy
+        # weights are NaN; the solver stops after the order-256 pass
+        k = make_kernel(np.eye(n), np.zeros(n), 0.0)
+        data = _CountingSource(GaussianBump(center=(0.0,) * n, spread=0.05))
+        with pytest.raises(QuadratureFailure):
+            sv.solve_homogeneous(k, data, np.full(n, 0.3), 2.5)
+        # the coarse order-48 pass, then orders 64, 128 and 256
+        assert data.sizes == [len(sv.pruned_hermite_tensor(order, n)[1])
+                              for order in (48, 64, 128, 256)]
+
+
 class TestGridSolve:
     def _grid_1d(self, h=0.01, half=6.0):
         xs = np.arange(-half, half + h / 2, h)
@@ -218,8 +334,37 @@ class TestSolveNonhomogeneous:
             mass = (math.exp(c * t) - 1.0) / c if c != 0 else t
             assert abs(u) <= mass * amp * (1 + 1e-6)
 
+    def test_kink_panel_route_skips_coarse_in_space_pass(self, monkeypatch):
+        # the kink-panel route ignores the Hermite order, so a pass at the
+        # coarser order would repeat the fine pass bit for bit
+        orders = []
+        passes = sv._duhamel_pass
+
+        def recording(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order, sup):
+            orders.append(inner_order)
+            return passes(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order, sup)
+
+        monkeypatch.setattr(sv, "_duhamel_pass", recording)
+        box = TimeInvariantForcing(BoxIndicator(lo=(-0.5,), hi=(0.7,)))
+        sv.solve_nonhomogeneous(HEAT_1D, box, [0.2], 0.4)
+        assert orders and set(orders) == {64}
+        orders.clear()
+        gauss = TimeInvariantForcing(GaussianBump(center=(0.0,), spread=0.8))
+        sv.solve_nonhomogeneous(HEAT_1D, gauss, [0.2], 0.4)
+        assert sorted(set(orders)) == [48, 64]
+
 
 class TestErrorPaths:
+    def test_gradient_peak_overflow(self):
+        # kernel peak e^708.2 fits in float64; the gradient peak e^709.84 does not
+        k = make_kernel([[0.01]], [0.0], 1000.0, horizon=1.0)
+        box = BoxIndicator(lo=(-1.0,), hi=(1.0,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert math.isfinite(sv.solve_homogeneous(k, box, [0.95], 0.707))
+            with pytest.raises(FloatOverflow):
+                sv.gradient_homogeneous(k, box, [0.95], 0.707)
+
     def test_quadrature_failure_on_underresolved_data(self):
         sharp = GaussianBump(center=(0.0,), spread=2e-5)
         rough = sv.QuadratureConfig(hermite_order=8, target_rel_err=1e-10)
@@ -236,6 +381,18 @@ class TestErrorPaths:
                 sv.solve_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
             with pytest.raises(QuadratureFailure):
                 sv.gradient_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
+
+    def test_duhamel_with_nan_weight_order_is_quadrature_failure(self):
+        # numpy's order-400 Hermite weights are NaN; the value must not be NaN or 0
+        quad = sv.QuadratureConfig(hermite_order=400)
+        gauss = TimeInvariantForcing(GaussianBump(center=(0.1,), spread=0.4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(QuadratureFailure):
+                sv.solve_nonhomogeneous(HEAT_1D, gauss, [0.0], 1.0, quad)
+        # the kink-panel route does not use the Hermite order
+        box = TimeInvariantForcing(BoxIndicator(lo=(-1.0,), hi=(1.0,)))
+        assert math.isfinite(sv.solve_nonhomogeneous(HEAT_1D, box, [0.0], 1.0, quad))
 
     def test_time_beyond_horizon(self):
         k = make_kernel([[1.0]], [0.0], 0.0, horizon=1.0)
