@@ -44,6 +44,7 @@ from .sources import (
 from .verify import default_checks, run_checks
 
 QUAD_ORDER_ENV = "PARABOUND_QUAD_ORDER"
+JOBS_HELP = "accepted and recorded in the manifest; the work runs serially"
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -334,7 +335,7 @@ def cmd_sweep(args) -> int:
     label = "k" if args.kind == "hom" else "c"
 
     def cell(p, t):
-        """(dir value, max value, warning text or None) of one grid cell."""
+        """(dir value, max value) of one grid cell; NaN and a warning where none exists."""
         dir_val = math.nan
         max_val = math.nan
         try:
@@ -342,21 +343,11 @@ def cmd_sweep(args) -> int:
                 dir_val = fn(kernel, p, t, direction).value
             max_val = fn(kernel, p, t).value
         except (ExponentTooSmall, DivergentIntegral, FloatOverflow) as exc:
-            return dir_val, max_val, f"warning: p={exponent_token(p)} t={t}: {exc}"
-        return dir_val, max_val, None
+            print(f"warning: p={exponent_token(p)} t={t}: {exc}", file=sys.stderr)
+        return dir_val, max_val
 
     cells = [(p, t) for p in p_grid for t in t_grid]
-    if args.jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(lambda pt: cell(*pt), cells))
-    else:
-        results = [cell(p, t) for p, t in cells]
-    # printed here, in cell order, so pool threads cannot interleave them
-    for _, _, warning in results:
-        if warning is not None:
-            print(warning, file=sys.stderr)
+    results = [cell(p, t) for p, t in cells]
     manifest = base_manifest(args, "sweep", quad, spec)
     manifest.update(
         kind=args.kind,
@@ -369,7 +360,7 @@ def cmd_sweep(args) -> int:
     with open_output(args.out) as fh:
         fh.write("# manifest: " + dumps(manifest) + "\n")
         fh.write(f"p,t,{label}_dir,{label}_max,t_trend\n")
-        for idx, ((p, t), (dir_val, max_val, _)) in enumerate(zip(cells, results)):
+        for idx, ((p, t), (dir_val, max_val)) in enumerate(zip(cells, results)):
             trend = ""
             if idx % len(t_grid) > 0:
                 prev = results[idx - 1][1]
@@ -421,14 +412,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--data", required=True, help="data preset or grid:PATH")
     p_solve.add_argument("--points", help="semicolon-separated 'x1,..,xn,t' tuples")
     p_solve.add_argument("--points-file", help="file with one point per line")
-    p_solve.add_argument("--jobs", type=int, default=1)
+    p_solve.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_solve.set_defaults(fn=cmd_solve)
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
     add_common(p_verify, spec=False)
     p_verify.add_argument("--seed", type=int, help="seed for the randomized suite")
     p_verify.add_argument("--check", help="glob filter on check names")
-    p_verify.add_argument("--jobs", type=int, default=1)
+    p_verify.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_verify.add_argument("--perturb", type=float, default=0.0,
                           help="test mode: scale closed forms by (1+perturb)")
     p_verify.set_defaults(fn=cmd_verify)
@@ -440,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--t-grid", required=True, help="comma-separated times")
     p_sweep.add_argument("--dir", help="unit direction, comma-separated floats")
     p_sweep.add_argument("--max", action="store_true")
-    p_sweep.add_argument("--jobs", type=int, default=1)
+    p_sweep.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
     p_sweep.set_defaults(fn=cmd_sweep)
 
     return parser

@@ -30,7 +30,6 @@ trapezoid over its support box instead of the Hermite rule.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,19 +157,8 @@ def _panel_pass_1d(kernel, data, x, t, order, quad, want_gradient):
 
 def _grid_pass(kernel, grid: GridData, x, t, quad, want_gradient, midpoint):
     if midpoint:
-        vals = grid.values
-        for axis in range(grid.n):
-            sl1 = [slice(None)] * grid.n
-            sl2 = [slice(None)] * grid.n
-            sl1[axis] = slice(None, -1)
-            sl2[axis] = slice(1, None)
-            vals = 0.5 * (vals[tuple(sl1)] + vals[tuple(sl2)])
-        axes = [
-            grid.origin[j] + grid.spacing[j] * (np.arange(grid.values.shape[j] - 1) + 0.5)
-            for j in range(grid.n)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        pts = grid.cell_centers(1)
+        vals = grid(pts)
         weights = np.full(vals.size, float(np.prod(grid.spacing)))
     else:
         vals = grid.values
@@ -202,13 +190,18 @@ def _grid_pass(kernel, grid: GridData, x, t, quad, want_gradient, midpoint):
 
 
 def _escalation_orders(start: int, dim: int):
-    """Hermite orders to try: the configured one, then bounded doublings."""
+    """Hermite orders to try: the configured one, then doublings to 512 within the node budget."""
     orders = [start]
     order = start
-    while order < 1024 and (2 * order) ** dim <= _MAX_TENSOR_NODES:
+    while order < 512 and (2 * order) ** dim <= _MAX_TENSOR_NODES:
         order *= 2
         orders.append(order)
-    return orders[:4]
+    return orders
+
+
+def _coarse_order(order: int) -> int:
+    """Order of the comparison rule for an error estimate; always below order."""
+    return max(order // 2, order - 16)
 
 
 def _magnitude(v) -> float:
@@ -261,7 +254,7 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
                     f"data feature width {width:.3e} (whitened) below half the "
                     f"finest node spacing {spacing:.3e}; refine or rescale"
                 )
-        coarse = max(8, quad.hermite_order - 16)
+        coarse = _coarse_order(quad.hermite_order)
         value, _ = _hermite_pass(kernel, data, x, t, coarse, want_gradient, sup)
         est = math.inf
         for order in orders:
@@ -363,7 +356,7 @@ def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
         if used_hermite:
             # the kink-panel route ignores order, so this pass would repeat fine
             coarse_s, _, _ = _duhamel_pass(
-                kernel, forcing, x, t, panels, quad, want_gradient, max(8, order - 16), sup
+                kernel, forcing, x, t, panels, quad, want_gradient, _coarse_order(order), sup
             )
             est += _magnitude(fine - coarse_s)
         value = fine
@@ -396,8 +389,8 @@ def solve_batch(kernel, data, points, times, quad=DEFAULT_QUADRATURE, jobs=None,
                 kind="hom", gradient=False):
     """Evaluate many (x, t) pairs; results are ordered by input index.
 
-    jobs > 1 runs evaluations in a thread pool (every evaluation is pure),
-    with output order still fixed by the input order.
+    The pairs are evaluated serially; jobs is accepted for existing callers
+    and ignored.
     """
     points = np.asarray(points, dtype=float)
     if points.shape == (0,):
@@ -412,10 +405,5 @@ def solve_batch(kernel, data, points, times, quad=DEFAULT_QUADRATURE, jobs=None,
         fn = gradient_nonhomogeneous if gradient else solve_nonhomogeneous
     else:
         raise DomainError(f"unknown problem kind {kind!r}")
-    tasks = list(zip(points, times))
-    if jobs is None or jobs <= 1:
-        results = [fn(kernel, data, x, t, quad) for x, t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda xt: fn(kernel, data, xt[0], xt[1], quad), tasks))
-    return np.asarray(results, dtype=float).reshape((len(tasks), kernel.n) if gradient else -1)
+    results = [fn(kernel, data, x, t, quad) for x, t in zip(points, times)]
+    return np.asarray(results, dtype=float).reshape((len(times), kernel.n) if gradient else -1)

@@ -203,6 +203,12 @@ class ConstantData(SourceFunction):
         return math.inf
 
 
+def _lattice(axes):
+    """Tensor product of 1-D coordinate arrays as (m, n) points, last axis fastest."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.reshape(-1) for g in grids], axis=-1)
+
+
 class GridData(SourceFunction):
     """Uniform-grid samples with multilinear interpolation, zero outside.
 
@@ -236,12 +242,18 @@ class GridData(SourceFunction):
         return self.origin.shape[0]
 
     def node_points(self):
-        axes = [
+        return _lattice(
             self.origin[j] + self.spacing[j] * np.arange(self.values.shape[j])
             for j in range(self.n)
-        ]
-        grids = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grids], axis=-1)
+        )
+
+    def cell_centers(self, refine):
+        """Centres of the cells after splitting each cell into refine^n, as (m, n) points."""
+        step = self.spacing / refine
+        return _lattice(
+            self.origin[j] + step[j] * (np.arange((self.values.shape[j] - 1) * refine) + 0.5)
+            for j in range(self.n)
+        )
 
     def __call__(self, pts):
         pts = _as_points(pts, self.n)
@@ -264,15 +276,8 @@ class GridData(SourceFunction):
 
     def _midpoint_power_integral(self, p, refine):
         """Midpoint rule for |interpolant|^p at a given cell refinement."""
-        axes = []
-        for j in range(self.n):
-            cells = self.values.shape[j] - 1
-            step = self.spacing[j] / refine
-            axes.append(self.origin[j] + step * (np.arange(cells * refine) + 0.5))
-        grids = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.reshape(-1) for g in grids], axis=-1)
         vol = float(np.prod(self.spacing / refine))
-        return float(np.sum(np.abs(self(pts)) ** p)) * vol
+        return float(np.sum(np.abs(self(self.cell_centers(refine))) ** p)) * vol
 
     def lp_norm(self, p):
         if p == math.inf:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -855,12 +854,11 @@ def default_checks(seed: int = 20250810, perturb: float = 0.0,
 
 
 def run_checks(checks, jobs: int = 1):
-    """Execute (name, thunk) pairs; reports keep the input (name) order."""
-    if jobs <= 1:
-        reports = [fn() for _, fn in checks]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(lambda item: item[1](), checks))
+    """Execute (name, thunk) pairs serially; reports keep the input (name) order.
+
+    jobs is accepted for existing callers and ignored.
+    """
+    reports = [fn() for _, fn in checks]
     for (name, _), report in zip(checks, reports):
         report.check = name
     return reports

@@ -16,7 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parabound import cli
-from parabound.sources import GridData, write_grid
+from parabound.kernel import FundamentalSolution, ProblemSpec
+from parabound.solver import solve_batch
+from parabound.sources import GaussianBump, GridData, write_grid
+from parabound.verify import default_checks, run_checks
 
 SPEC_1D = {"n": 1, "A": [[1.0]], "b": [0.0], "c": 0.0, "T": 8.0}
 SPEC_2D = {"n": 2, "A": [[1.0, 0.2], [0.2, 2.0]], "b": [0.5, -1.0], "c": -0.25, "T": 8.0}
@@ -206,6 +209,26 @@ class TestSolveCommand:
         assert lines[1] == "x_1,t,u,du_dx1"
         u = float(lines[2].split(",")[2])
         assert u == pytest.approx(0.5204998778130465, rel=1e-10)
+
+    # FOUND point: heat kernel, Gaussian data of spread 0.3, x = 0.5, t = 2
+    FOUND_ARGV = ["solve", "--spec-json", '{"n":1,"A":[[1]],"b":[0],"c":0,"T":8}',
+                  "--data", "gaussian:center=0,spread=0.3", "--points", "0.5,2"]
+
+    def test_hom_quad_order_8_has_error_control(self, capsys):
+        # the comparison rule sits below order 8, so the first estimate is not 0
+        assert run_cli(self.FOUND_ARGV + ["--kind", "hom", "--quad-order", "8"]) == 0
+        u = float(capsys.readouterr().out.splitlines()[2].split(",")[2])
+        exact = math.sqrt(0.3 / 2.3) * math.exp(-0.25 / 9.2)
+        assert abs(u - exact) <= 1e-8 * exact
+
+    def test_nonhom_quad_order_8_is_within_target_or_fails(self, capsys):
+        default = 0.98543206238686565
+        code = run_cli(self.FOUND_ARGV + ["--kind", "nonhom", "--quad-order", "8"])
+        if code == 0:
+            u = float(capsys.readouterr().out.splitlines()[2].split(",")[2])
+            assert abs(u - default) <= 1e-8 * default
+        else:
+            assert code == 4
 
     def test_constant_forcing_columns(self, tmp_path):
         spec = dict(SPEC_1D)
@@ -433,8 +456,26 @@ class TestManifestRoundTrip:
 
 def test_import_does_not_load_scipy():
     result = run_child(["-c", "import sys, parabound, parabound.cli; "
-                        "assert 'scipy' not in sys.modules, 'scipy imported'"])
+                        "assert 'scipy' not in sys.modules, 'scipy imported'; "
+                        "assert 'concurrent.futures' not in sys.modules, 'pool imported'"])
     assert result.returncode == 0, result.stderr
+
+
+def test_jobs_start_no_thread(monkeypatch, spec_path, tmp_path):
+    # --jobs / jobs= are accepted and recorded, but every path runs serially
+    def refuse(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    kernel = FundamentalSolution(ProblemSpec.from_dict(SPEC_1D))
+    values = solve_batch(kernel, GaussianBump(center=(0.0,), spread=1.0),
+                         [[0.0], [0.5]], [1.0, 2.0], jobs=4)
+    assert values.shape == (2,)
+    reports = run_checks(default_checks()[:2], jobs=4)
+    assert len(reports) == 2
+    out = tmp_path / "sweep.csv"
+    assert run_cli(["sweep", "--spec", spec_path, "--kind", "hom", "--p-grid", "2,inf",
+                    "--t-grid", "0.5,1", "--max", "--jobs", "2", "--out", str(out)]) == 0
 
 
 class TestEnvOverride:

@@ -365,6 +365,14 @@ class TestErrorPaths:
             with pytest.raises(FloatOverflow):
                 sv.gradient_homogeneous(k, box, [0.95], 0.707)
 
+    def test_low_start_order_escalates_past_four_rules(self):
+        # orders 16/32/64/128 leave an estimate of 3e-8; the ladder goes on to 256
+        quad = sv.QuadratureConfig(hermite_order=16)
+        phi = GaussianBump(center=(0.0,), spread=0.3)
+        u = sv.solve_homogeneous(HEAT_1D, phi, [0.5], 2.0, quad)
+        exact = gaussian_closed_form(HEAT_1D, phi, [0.5], 2.0)[0]
+        assert abs(u - exact) <= quad.target_rel_err * exact
+
     def test_quadrature_failure_on_underresolved_data(self):
         sharp = GaussianBump(center=(0.0,), spread=2e-5)
         rough = sv.QuadratureConfig(hermite_order=8, target_rel_err=1e-10)

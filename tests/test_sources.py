@@ -113,6 +113,20 @@ class TestGridData:
         assert grid.lp_norm(2.0) == pytest.approx(math.sqrt(math.pi), rel=5e-4)
         assert grid.norm_error_estimate <= 1e-8
 
+    def test_cell_centers(self):
+        rng = np.random.default_rng(3)
+        grid = GridData([-1.0, 0.5], [0.5, 0.25], rng.normal(size=(4, 3)))
+        centers = grid.cell_centers(1)
+        assert centers.shape == (3 * 2, 2)
+        assert np.array_equal(centers[0], [-0.75, 0.625])
+        # the multilinear interpolant at a cell centre is the mean of its corners
+        v = grid.values
+        corner_mean = (v[:-1, :-1] + v[1:, :-1] + v[:-1, 1:] + v[1:, 1:]) / 4.0
+        assert np.allclose(grid(centers), corner_mean.reshape(-1), rtol=0.0, atol=1e-14)
+        fine = grid.cell_centers(2)
+        assert fine.shape == (6 * 4, 2)
+        assert np.array_equal(fine[:2], [[-0.875, 0.5625], [-0.875, 0.6875]])
+
     def test_validation(self):
         with pytest.raises(DomainError):
             GridData([0.0], [0.0], np.ones(4))
