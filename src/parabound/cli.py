@@ -391,8 +391,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", help="path to problem spec JSON")
             p.add_argument("--spec-json", help="inline problem spec JSON")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--quad-order", type=int, help="Gauss-Hermite order "
-                       f"(default: ${QUAD_ORDER_ENV} or 64)")
+        p.add_argument("--quad-order", type=int, help="starting order of the kernel-frame "
+                       "Gauss-Hermite rule; Gaussian, polygauss and box data use their own "
+                       f"rules (default: ${QUAD_ORDER_ENV} or 64)")
         p.add_argument("--target-rel-err", type=float,
                        help="quadrature error target (default 1e-8)")
 

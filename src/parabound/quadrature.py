@@ -95,18 +95,13 @@ def panel_edges(lo: float, hi: float, kinks=(), base_panels: int = 32, levels: i
     if not hi > lo:
         raise ValueError(f"empty panel interval [{lo}, {hi}]")
     width = hi - lo
-    edges = list(np.linspace(lo, hi, base_panels + 1))
+    steps = width * 0.5 ** np.arange(1, levels + 1)
+    edges = [np.linspace(lo, hi, base_panels + 1)]
     for kink in kinks:
-        if not lo < kink < hi:
-            continue
-        edges.append(kink)
-        for j in range(1, levels + 1):
-            step = width * 0.5**j
-            if kink - step > lo:
-                edges.append(kink - step)
-            if kink + step < hi:
-                edges.append(kink + step)
-    edges = np.unique(np.asarray(edges, dtype=float))
+        if lo < kink < hi:
+            graded = np.concatenate([[kink], kink - steps, kink + steps])
+            edges.append(graded[(graded > lo) & (graded < hi)])
+    edges = np.unique(np.concatenate(edges))
     # drop zero-width panels caused by clustering near the interval ends
     keep = np.concatenate([[True], np.diff(edges) > 1e-15 * width])
     return edges[keep]

@@ -1,36 +1,59 @@
 """Point evaluation of u and grad u for both Cauchy problems.
 
 Homogeneous problem: u(x, t) is the kernel convolved with the initial
-data. The integral is whitened to xi = A^{-1/2}(x - y + t b)/(2 sqrt t),
-which turns the kernel into the weight exp(-|xi|^2) and makes tensor
-Gauss-Hermite the natural rule:
+data, the integral of G(x - y, t) phi(y) over y. One dispatcher (_route)
+picks the rule for that integral from the data, for the homogeneous
+solver and for every sigma node of the Duhamel solver alike:
 
-    u(x, t) = e^{ct} pi^{-n/2} * sum_i w_i phi(x + t b - 2 sqrt(t) A^{1/2} xi_i).
+- Data with a Gaussian factor (gaussian_factor(): Gaussian and polygauss
+  presets) takes tensor Gauss-Hermite in the frame of the product of the
+  kernel and that factor, whose precision shares A's eigenvectors (the
+  adaptive Gauss-Hermite of Liu & Pierce, Biometrika 81, 1994). The rule
+  integrates only the polynomial left over, exactly from order 4; orders
+  4 and 8 are compared and doubled on a miss.
+- Box data takes tensor composite Gauss-Legendre over the box clipped to
+  the kernel's window x + t b +- truncation_radius sqrt(2 t A_jj), with
+  panels at most 2 sqrt(2 t A_jj) wide; axes the box does not clip
+  integrate out in closed form (Genz's separation of variables, J. Comput.
+  Graph. Stat. 1, 1992). Orders 12 and 8 on the same panels are compared,
+  then halved panels.
+- n = 1 data with kinks (the extremal |.|^q profiles) takes composite
+  Gauss-Legendre panels graded toward the kinks, orders 12 and 8.
+- Everything else (constant, extremal for n >= 2, custom data) takes
+  tensor Gauss-Hermite in the kernel's whitened frame,
+  xi = A^{-1/2}(x - y + t b)/(2 sqrt t):
 
-The rule is pruned (quadrature.pruned_hermite_tensor): nodes whose product
-weight is at most 1e-18 of the total are dropped. Their mass D = sum w and
-moment M = sum w |xi| are known, so with front = e^{ct} pi^{-n/2} what they
-would add is at most front sup|phi| D for u and
-front sup|phi| M ||A^{-1/2}||_2 / sqrt(t) for grad u; that bound joins
-every Hermite error estimate (data with infinite sup takes the full rule).
-The kept nodes come in +-xi pairs, so the gradient sums
-w xi (phi(y+) - phi(y-)) over pairs and is exactly 0 for constant data.
+    u(x, t) = e^{ct} pi^{-n/2} * sum_i w_i phi(x + t b - 2 sqrt(t) A^{1/2} xi_i),
+
+  at the configured hermite_order, doubled up to 256 on a miss. This rule
+  is pruned (quadrature.pruned_hermite_tensor): nodes whose product
+  weight is at most 1e-18 of the total are dropped. Their mass D = sum w
+  and moment M = sum w |xi| are known, so with front = e^{ct} pi^{-n/2}
+  what they would add is at most front sup|phi| D for u and
+  front sup|phi| M ||A^{-1/2}||_2 / sqrt(t) for grad u; that bound joins
+  the error estimate (data with infinite sup takes the full rule). The
+  kept nodes come in +-xi pairs, so the gradient sums
+  w xi (phi(y+) - phi(y-)) over pairs and is exactly 0 for constant data.
+
+Grid-sampled data integrates by truncated trapezoid over its support box,
+compared with the midpoint rule.
 
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
 behavior of the gradient integrand; composite Gauss-Legendre panels in
-sigma then converge spectrally.
+sigma then converge spectrally. The error estimate adds a pass with half
+the time panels and one with every spatial rule at its coarse rung.
 
 Every route produces an error estimate (coarser rule comparison) and
 raises QuadratureFailure when it exceeds the configured target relative
-to the solution scale. Grid-sampled data integrates by truncated
-trapezoid over its support box instead of the Hermite rule.
+to the solution scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
@@ -41,8 +64,8 @@ from .errors import (
     QuadratureFailure,
     UnsupportedData,
 )
-from .kernel import FundamentalSolution
-from .mathcore import LOG_FLOAT_MAX, spectral_norm_inv_sqrt
+from .kernel import FundamentalSolution, ProblemSpec
+from .mathcore import LOG_FLOAT_MAX, SpdMatrix, spectral_norm_inv_sqrt
 from .quadrature import (
     hermite_rule,
     hermite_tensor,
@@ -51,16 +74,29 @@ from .quadrature import (
     panel_nodes,
     pruned_hermite_tensor,
 )
-from .sources import GridData, SourceFunction, SpaceTimeSource
+from .sources import (
+    BoxIndicator,
+    GridData,
+    SourceFunction,
+    SpaceTimeSource,
+    TimeInvariantForcing,
+    _lattice,
+)
 
 SOLVER_MAX_DIM = 3
-# Largest tensor Hermite rule (order^n nodes) an escalation may reach.
+# Largest tensor rule (Hermite order^n nodes, or box panel nodes) a solve may evaluate.
 _MAX_TENSOR_NODES = 2**21
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature knobs for the solvers and oracles."""
+    """Quadrature knobs for the solvers and oracles.
+
+    hermite_order is the starting order of the kernel-frame Gauss-Hermite
+    rule only (and the oracles' Hermite rules); Gaussian, polygauss, box
+    and kinked n = 1 data use their own fixed rules. An order numpy cannot
+    build (384 and up) raises QuadratureFailure in either Hermite frame.
+    """
 
     hermite_order: int = 64
     time_panels: int = 48
@@ -106,17 +142,23 @@ def _check_float_range(kernel, t, want_gradient=False):
         raise FloatOverflow(f"kernel factor e^{log_peak:.6g} overflows float64")
 
 
+@lru_cache(maxsize=16)
+def _check_hermite_order(order: int):
+    """Raise QuadratureFailure for an order whose numpy weights are not finite (384 and up)."""
+    if not np.all(np.isfinite(hermite_rule(order)[1])):
+        raise QuadratureFailure(f"Gauss-Hermite order {order} has non-finite weights")
+
+
 def _hermite_pass(kernel, data, x, t, order, want_gradient, sup):
-    """One tensor Gauss-Hermite pass over the pruned rule, summed by +-xi pairs.
+    """One tensor Gauss-Hermite pass in the kernel frame, over the pruned rule, summed by +-xi pairs.
 
     Returns the value (or gradient) and a bound on what the pruned nodes
     would add: front sup D, or front / sqrt(t) sup M ||A^{-1/2}||_2 for the
     gradient. Data with infinite sup takes the full rule (bound 0). Raises
     QuadratureFailure, without evaluating anything, for an order whose
-    numpy weights are not finite (order 384 and up).
+    numpy weights are not finite.
     """
-    if not np.all(np.isfinite(hermite_rule(order)[1])):
-        raise QuadratureFailure(f"Gauss-Hermite order {order} has non-finite weights")
+    _check_hermite_order(order)
     if math.isfinite(sup):
         xi, w, mass, moment = pruned_hermite_tensor(order, kernel.n)
     else:
@@ -140,19 +182,127 @@ def _hermite_pass(kernel, data, x, t, order, want_gradient, sup):
     return front * value, (front * sup * mass if mass else 0.0)
 
 
-def _panel_pass_1d(kernel, data, x, t, order, quad, want_gradient):
+def _product_frame(kernel, x, t, center, spread):
+    """The product of the kernel at time(s) t and the data's Gaussian factor.
+
+    With y - c in A's eigenbasis, z = Q^T (x + t b - c) and
+    d = spread + t lam, the kernel times exp(-|y - c|^2 / (4 spread)) is
+    e^{ct} C times the normal density with mean spread z / d and variances
+    2 t lam spread / d, where C = prod (spread / d)^{1/2} exp(-z^2 / (4 d)).
+    A's eigenvectors diagonalise both factors, so no new factorisation is
+    needed. t may be an array of kernel times (the sigma nodes of a
+    Duhamel pass). Returns, per time, the mean and node scale of y - c,
+    log C, e^{ct} pi^{-n/2} and the node scale of the gradient factor.
+    """
+    lam = kernel.dec.eigenvalues
+    t = np.asarray(t, dtype=float)
+    times = t.reshape(-1, 1, 1)
+    z = (x - center + times * kernel.spec.drift) @ kernel.dec.eigenvectors
+    spread_t = times * lam
+    shrink = spread / (spread + spread_t)  # spread / d
+    mean = shrink * z
+    log_mass = 0.5 * np.log(shrink).sum(-1) - (mean * z).sum(-1) / (4.0 * spread)
+    front = np.exp(kernel.spec.reaction * times[:, 0]) * math.pi ** (-kernel.n / 2.0)
+    return t.ndim, mean, np.sqrt(4.0 * spread_t * shrink), log_mass, front, np.sqrt(shrink / spread_t)
+
+
+def _product_pass(kernel, data, center, spread, frame, order, want_gradient):
+    """One tensor Gauss-Hermite pass on the product Gaussian (see _product_frame).
+
+    The rule integrates what is left of the data, phi divided by its
+    Gaussian factor; for Gaussian and polygauss data that is a polynomial
+    of degree <= 2 per axis, which order 4 integrates exactly even with the
+    gradient's extra degree. Over several times the data is evaluated once
+    for all of them and the results are stacked by time.
+    """
+    ndim, mean, scale, log_mass, front, grad_scale = frame
+    vecs = kernel.dec.eigenvectors
+    xi, w = hermite_tensor(order, kernel.n)
+    off = mean + scale * xi
+    # exp(|y - c|^2 / (4 spread)) C undoes the data's factor at every node
+    rest = np.exp((off * off).sum(-1) / (4.0 * spread) + log_mass)
+    vals = w * rest * data((off @ vecs.T + center).reshape(-1, kernel.n)).reshape(rest.shape)
+    if want_gradient:
+        # A^{-1}(x + t b - y) / (2 t) in the eigenbasis
+        vec = mean / (2.0 * spread) - grad_scale * xi
+        grad = -front * (np.einsum("ki,kij->kj", vals, vec) @ vecs.T)
+        return (grad, np.zeros(len(grad))) if ndim else (grad[0], 0.0)
+    value = front[:, 0] * vals.sum(1)
+    return (value, np.zeros(len(value))) if ndim else (float(value[0]), 0.0)
+
+
+def _box_window(kernel, box, x, t, quad):
+    """The box clipped to the kernel's window, on the axes the box clips.
+
+    The window is x + t b +- truncation_radius sigma_j with
+    sigma_j = sqrt(2 t A_jj). An axis whose window lies inside the box
+    integrates out exactly (a Gaussian's marginal is Gaussian), so only the
+    clipped axes cut are kept, with the kernel of the marginal problem
+    over them. Returns (kernel, cut, lo, hi, sigma) on those axes, or None
+    when the intersection is empty.
+    """
+    a = kernel.spec.diffusion.entries
+    mean = x + t * kernel.spec.drift
+    sigma = np.sqrt(2.0 * t * np.diag(a))
+    reach = quad.truncation_radius * sigma
+    lo = np.maximum(box.lo, mean - reach)
+    hi = np.minimum(box.hi, mean + reach)
+    if np.any(hi <= lo):
+        return None
+    cut = np.flatnonzero((lo > mean - reach) | (hi < mean + reach))
+    if 0 < cut.size < kernel.n:
+        spec = kernel.spec
+        kernel = FundamentalSolution(ProblemSpec(
+            SpdMatrix(a[np.ix_(cut, cut)]), spec.drift[cut], spec.reaction, spec.horizon))
+    return kernel, cut, lo[cut], hi[cut], sigma[cut]
+
+
+def _box_pass(kernel, box, x, t, window, rule, want_gradient):
+    """Tensor composite Gauss-Legendre over the clipped box (see _box_window).
+
+    rule = (order, split): every clipped axis takes panels at most
+    2 sigma_j / split wide. An empty intersection gives exactly 0, a box
+    that clips no axis e^{ct} amp, and the gradient has no component along
+    the axes the box does not clip.
+    """
+    out = np.zeros(kernel.n) if want_gradient else 0.0
+    if window is None:
+        return out, 0.0
+    sub, cut, lo, hi, sigma = window
+    if cut.size == 0:
+        return (out if want_gradient else box.amp * math.exp(kernel.spec.reaction * t)), 0.0
+    order, split = rule
+    panels = [math.ceil(split * (h - l) / (2.0 * sd)) for l, h, sd in zip(lo, hi, sigma)]
+    size = math.prod(panels) * order ** len(panels)
+    if size > _MAX_TENSOR_NODES:
+        raise QuadratureFailure(f"box rule needs {size} nodes, over the budget {_MAX_TENSOR_NODES}")
+    axes = [panel_nodes(np.linspace(l, h, count + 1), order)
+            for l, h, count in zip(lo, hi, panels)]
+    weights = reduce(np.multiply.outer, [w for _, w in axes]).reshape(-1)
+    args = x[cut] - _lattice([nodes for nodes, _ in axes])
+    if want_gradient:
+        out[cut] = box.amp * (weights @ sub.gradient(args, t))
+        return out, 0.0
+    return box.amp * float(weights @ sub.value(args, t)), 0.0
+
+
+def _kink_edges(kernel, data, x, t, quad):
+    """Panel edges over the n = 1 kernel window, graded toward the data's kinks."""
     center = float(x[0] + t * kernel.spec.drift[0])
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
     lo = center - quad.truncation_radius * sigma
     hi = center + quad.truncation_radius * sigma
-    kinks = [k for k in data.kinks_1d() if lo < k < hi]
-    nodes, weights = panel_nodes(panel_edges(lo, hi, kinks), order)
+    return panel_edges(lo, hi, [k for k in data.kinks_1d() if lo < k < hi])
+
+
+def _panel_pass_1d(kernel, data, x, t, edges, order, want_gradient):
+    nodes, weights = panel_nodes(edges, order)
     args = (x[0] - nodes)[:, None]
     vals = data(nodes[:, None])
     if want_gradient:
         g = kernel.gradient(args, t)[:, 0]
-        return np.array([float(weights @ (g * vals))])
-    return float(weights @ (kernel.value(args, t) * vals))
+        return np.array([float(weights @ (g * vals))]), 0.0
+    return float(weights @ (kernel.value(args, t) * vals)), 0.0
 
 
 def _grid_pass(kernel, grid: GridData, x, t, quad, want_gradient, midpoint):
@@ -190,10 +340,10 @@ def _grid_pass(kernel, grid: GridData, x, t, quad, want_gradient, midpoint):
 
 
 def _escalation_orders(start: int, dim: int):
-    """Hermite orders to try: the configured one, then doublings to 512 within the node budget."""
+    """Hermite orders to try: start, then doublings up to 256 within the node budget."""
     orders = [start]
     order = start
-    while order < 512 and (2 * order) ** dim <= _MAX_TENSOR_NODES:
+    while order < 256 and (2 * order) ** dim <= _MAX_TENSOR_NODES:
         order *= 2
         orders.append(order)
     return orders
@@ -202,6 +352,49 @@ def _escalation_orders(start: int, dim: int):
 def _coarse_order(order: int) -> int:
     """Order of the comparison rule for an error estimate; always below order."""
     return max(order // 2, order - 16)
+
+
+# (Gauss-Legendre order, panels per 2 sigma_j) of the box rule, coarse first
+_BOX_RULES = ((8, 1), (12, 1), (12, 2))
+# Gauss-Legendre orders of the kink panels, coarse first
+_KINK_RULES = (8, 12)
+
+
+def _route(kernel, data, x, t, quad, want_gradient, sup):
+    """The rule for the integral of G(x - y, t) phi(y) over y that the data picks.
+
+    Returns (rule, keys): rule(key) gives the integral and a bound on what
+    the rule leaves out; keys[0] names the coarse comparison rule and
+    keys[1:] the ladder an unmet error estimate climbs. Data with a
+    Gaussian factor takes the product frame, box data the box rule, n = 1
+    data with kinks the kink panels and everything else the kernel frame.
+    An array t (several kernel times) gives results stacked by time.
+    """
+    factor = data.gaussian_factor()
+    if factor is not None:
+        # an explicit kernel-frame order numpy cannot build fails every Hermite route
+        _check_hermite_order(quad.hermite_order)
+        center, spread = np.asarray(factor[0]), factor[1]
+        frame = _product_frame(kernel, x, t, center, spread)
+        keys = [_coarse_order(8)] + _escalation_orders(8, kernel.n)
+        return partial(_product_pass, kernel, data, center, spread, frame,
+                       want_gradient=want_gradient), keys
+    if np.ndim(t):
+        routes = [_route(kernel, data, x, s, quad, want_gradient, sup) for s in t]
+
+        def stacked(key):
+            parts = [rule(key) for rule, _ in routes]
+            return [part[0] for part in parts], [part[1] for part in parts]
+
+        return stacked, routes[0][1]
+    if isinstance(data, BoxIndicator):
+        return partial(_box_pass, kernel, data, x, t, _box_window(kernel, data, x, t, quad),
+                       want_gradient=want_gradient), _BOX_RULES
+    if kernel.n == 1 and data.kinks_1d():
+        return partial(_panel_pass_1d, kernel, data, x, t, _kink_edges(kernel, data, x, t, quad),
+                       want_gradient=want_gradient), _KINK_RULES
+    keys = [_coarse_order(quad.hermite_order)] + _escalation_orders(quad.hermite_order, kernel.n)
+    return partial(_hermite_pass, kernel, data, x, t, want_gradient=want_gradient, sup=sup), keys
 
 
 def _magnitude(v) -> float:
@@ -233,32 +426,12 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
         mid = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=True)
         est = 2.0 / 3.0 * _magnitude(fine - mid)
         value = fine
-    elif kernel.n == 1 and data.kinks_1d():
-        hi = _panel_pass_1d(kernel, data, x, t, 12, quad, want_gradient)
-        lo = _panel_pass_1d(kernel, data, x, t, 8, quad, want_gradient)
-        est = _magnitude(hi - lo)
-        value = hi
     else:
-        orders = _escalation_orders(quad.hermite_order, kernel.n)
-        hint = data.localization()
-        if hint is not None:
-            # Reject upfront when the data's feature width, mapped to the
-            # whitened coordinate, falls below the node spacing of the
-            # finest rule: refinement comparisons cannot be trusted to
-            # notice a feature that every rule misses entirely.
-            _, radius = hint
-            width = radius / (2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1])))
-            spacing = math.pi / math.sqrt(2.0 * orders[-1])
-            if width < 0.5 * spacing:
-                raise QuadratureFailure(
-                    f"data feature width {width:.3e} (whitened) below half the "
-                    f"finest node spacing {spacing:.3e}; refine or rescale"
-                )
-        coarse = _coarse_order(quad.hermite_order)
-        value, _ = _hermite_pass(kernel, data, x, t, coarse, want_gradient, sup)
+        rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
+        value, _ = rule(keys[0])
         est = math.inf
-        for order in orders:
-            finer, dropped = _hermite_pass(kernel, data, x, t, order, want_gradient, sup)
+        for key in keys[1:]:
+            finer, dropped = rule(key)
             est = _magnitude(finer - value) + dropped
             value = finer
             scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
@@ -302,33 +475,46 @@ class _Slice(SourceFunction):
         return self.forcing.spatial_kinks(self.tau)
 
 
-def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order, sup):
+def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, level, sup,
+                  coarse=False):
     """Duhamel integral over sigma nodes on (0, sqrt t), t - tau = sigma^2.
 
-    Returns the integral, the summed pruned-node bound of its Hermite
-    passes, and whether any sigma node took the Hermite route (otherwise
-    inner_order played no part).
+    Every sigma node integrates in space by the rule its data picks
+    (_route): a TimeInvariantForcing hands over its profile, one route for
+    all sigma nodes; any other forcing its slice at each tau. The rule runs
+    at rung level + 1 of its ladder, clamped to the last rung. Returns the
+    integral, the summed bound of what the spatial rules leave out and,
+    with coarse, the same integral with every spatial rule one rung lower
+    (else 0). The kink panels, graded to 2^-44 of the window at each kink,
+    keep their fine rule there: their comparison would add 40% to a kinked
+    Duhamel solve.
     """
     gl_x, gl_w = legendre_rule(8)
     edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
     a, b = edges[:-1][:, None], edges[1:][:, None]
     half = 0.5 * (b - a)
     sigmas = (a + half * (gl_x[None, :] + 1.0)).reshape(-1)
-    sig_w = (half * gl_w[None, :]).reshape(-1)
-    acc = np.zeros(kernel.n) if want_gradient else 0.0
+    weights = 2.0 * sigmas * (half * gl_w[None, :]).reshape(-1)
+    times = sigmas * sigmas
+    if isinstance(forcing, TimeInvariantForcing):
+        groups = [(forcing.profile, times, weights)]
+    else:
+        groups = [(_Slice(forcing, t - s), times[i:i + 1], weights[i:i + 1])
+                  for i, s in enumerate(times)]
+    acc = acc_coarse = np.zeros(kernel.n) if want_gradient else 0.0
     dropped = 0.0
-    used_hermite = False
-    for sigma, w in zip(sigmas, sig_w):
-        s = sigma * sigma
-        data = _Slice(forcing, t - s)
-        if kernel.n == 1 and data.kinks_1d():
-            inner = _panel_pass_1d(kernel, data, x, s, 12, quad, want_gradient)
-        else:
-            inner, bound = _hermite_pass(kernel, data, x, s, inner_order, want_gradient, sup)
-            dropped += 2.0 * sigma * w * bound
-            used_hermite = True
-        acc = acc + (2.0 * sigma * w) * inner
-    return acc, dropped, used_hermite
+    for data, group_times, group_weights in groups:
+        rule, keys = _route(kernel, data, x, group_times, quad, want_gradient, sup)
+        rung = min(level + 1, len(keys) - 1)
+        inner, bound = rule(keys[rung])
+        lower = inner
+        if coarse and keys is not _KINK_RULES:
+            lower = rule(keys[rung - 1])[0]
+        for w, value, value_lower, left_out in zip(group_weights, inner, lower, bound):
+            acc = acc + w * value
+            acc_coarse = acc_coarse + w * value_lower
+            dropped += w * left_out
+    return acc, (acc_coarse if coarse else 0.0), dropped
 
 
 def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
@@ -344,29 +530,23 @@ def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
     else:
         mass = t
     value = est = None
-    panels, order = quad.time_panels, quad.hermite_order
-    for attempt in range(3):
-        fine, dropped, used_hermite = _duhamel_pass(
-            kernel, forcing, x, t, panels, quad, want_gradient, order, sup
+    panels = quad.time_panels
+    for level in range(3):
+        fine, coarse_s, dropped = _duhamel_pass(
+            kernel, forcing, x, t, panels, quad, want_gradient, level, sup, coarse=True
         )
         coarse_t, _, _ = _duhamel_pass(
-            kernel, forcing, x, t, max(4, panels // 2), quad, want_gradient, order, sup
+            kernel, forcing, x, t, max(4, panels // 2), quad, want_gradient, level, sup
         )
-        est = _magnitude(fine - coarse_t) + dropped
-        if used_hermite:
-            # the kink-panel route ignores order, so this pass would repeat fine
-            coarse_s, _, _ = _duhamel_pass(
-                kernel, forcing, x, t, panels, quad, want_gradient, _coarse_order(order), sup
-            )
-            est += _magnitude(fine - coarse_s)
+        est = _magnitude(fine - coarse_t) + _magnitude(fine - coarse_s) + dropped
         value = fine
         scale = max(
             _magnitude(value),
             1e-3 * abs(mass) * sup / (math.sqrt(t) if want_gradient else 1.0),
         )
-        if est <= quad.target_rel_err * scale or (2 * order) ** kernel.n > _MAX_TENSOR_NODES:
+        if est <= quad.target_rel_err * scale:
             break
-        panels, order = 2 * panels, 2 * order
+        panels *= 2
     if scale > 0.0 and est > quad.target_rel_err * scale:
         raise QuadratureFailure(
             f"Duhamel quadrature error estimate {est:.3e} exceeds "

@@ -39,12 +39,12 @@ class SourceFunction:
         """Locations (n = 1 only) where the data is not smooth; default none."""
         return ()
 
-    def localization(self):
-        """Optional (center, radius) hint describing the data's feature scale.
+    def gaussian_factor(self):
+        """(center, spread) when phi is exp(-|y - center|^2 / (4 spread)) times a
+        low-degree polynomial (covariance 2 spread I), else None (the default).
 
-        Solvers use it to detect features too narrow for their node
-        spacing before trusting a rule-refinement error estimate. None
-        means "no localized feature" (slowly varying or global data).
+        The solvers then integrate in the frame of the product of this
+        factor and the kernel.
         """
         return None
 
@@ -85,8 +85,8 @@ class GaussianBump(SourceFunction):
             return abs(self.amp)
         return abs(self.amp) * (4.0 * math.pi * self.spread / p) ** (self.n / (2.0 * p))
 
-    def localization(self):
-        return np.asarray(self.center), math.sqrt(2.0 * self.spread)
+    def gaussian_factor(self):
+        return self.center, self.spread
 
 
 @dataclass(frozen=True)
@@ -119,15 +119,6 @@ class BoxIndicator(SourceFunction):
             return abs(self.amp)
         vol = float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
         return abs(self.amp) * vol ** (1.0 / p)
-
-    def kinks_1d(self):
-        if self.n != 1:
-            return ()
-        return (self.lo[0], self.hi[0])
-
-    def localization(self):
-        lo, hi = np.asarray(self.lo), np.asarray(self.hi)
-        return 0.5 * (lo + hi), 0.5 * float((hi - lo).min())
 
 
 @dataclass(frozen=True)
@@ -176,8 +167,8 @@ class PolynomialGaussian(SourceFunction):
             total *= gamma((m + 1.0) / 2.0) * (4.0 * self.spread / p) ** ((m + 1.0) / 2.0)
         return abs(self.amp) * total ** (1.0 / p)
 
-    def localization(self):
-        return np.asarray(self.center), math.sqrt(2.0 * self.spread * (1 + max(self.powers)))
+    def gaussian_factor(self):
+        return self.center, self.spread
 
 
 @dataclass(frozen=True)
@@ -205,6 +196,9 @@ class ConstantData(SourceFunction):
 
 def _lattice(axes):
     """Tensor product of 1-D coordinate arrays as (m, n) points, last axis fastest."""
+    axes = list(axes)
+    if len(axes) == 1:
+        return np.reshape(axes[0], (-1, 1))
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=-1)
 
@@ -379,6 +373,3 @@ class TimeInvariantForcing(SpaceTimeSource):
         if p == math.inf:
             return self.profile.sup_norm()
         return t ** (1.0 / p) * self.profile.lp_norm(p)
-
-    def spatial_kinks(self, tau):
-        return self.profile.kinks_1d()

@@ -31,8 +31,10 @@ from parabound.sources import (
     BoxIndicator,
     ConstantData,
     GaussianBump,
+    GridData,
     PolynomialGaussian,
     TimeInvariantForcing,
+    write_grid,
 )
 
 SEED = 20250810
@@ -279,9 +281,19 @@ def test_criterion_10_cli_round_trip(tmp_path):
     bad.write_text("{broken")
     ok &= cli.main(["constant", "--spec", str(bad), "--kind", "hom", "--p", "2",
                     "--t", "1", "--dir", "1"]) == 2
+    # a 21-node grid cannot meet the default target
+    xs = np.linspace(-8.0, 8.0, 21)
+    grid_path = tmp_path / "coarse.pbgr"
+    write_grid(grid_path, GridData([xs[0]], [xs[1] - xs[0]], np.exp(-(xs**2) / 2)))
+    ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "hom",
+                    "--data", f"grid:{grid_path}", "--points", "0,1"]) == 4
+    # the spread-2e-5 spike answers, at the Gaussian closed form
+    spike = tmp_path / "spike.csv"
     ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "hom",
                     "--data", "gaussian:spread=0.00002", "--points", "0,1",
-                    "--quad-order", "8"]) == 4
+                    "--quad-order", "8", "--out", str(spike)]) == 0
+    u_spike = float(spike.read_text().splitlines()[-1].split(",")[2])
+    ok &= abs(u_spike - math.sqrt(2e-5 / 1.00002)) <= 1e-8 * math.sqrt(2e-5 / 1.00002)
     ok &= cli.main(["verify", "--check", "duality_hom/n1/*",
                     "--out", str(tmp_path / "v.jsonl")]) == 0
     ok &= cli.main(["verify", "--check", "duality_hom/n1/*", "--perturb", "1e-3",

@@ -306,11 +306,22 @@ class TestSolveCommand:
         assert code == 0
         assert len(out.read_text().splitlines()) == 4
 
-    def test_exit_4_on_unresolvable_data(self, spec_path, tmp_path):
+    def test_exit_4_on_unresolvable_data(self, spec_path, tmp_path, capsys):
+        # a 21-node grid of exp(-x^2/2) cannot meet the default 1e-8 target
+        xs = np.linspace(-8.0, 8.0, 21)
+        grid_path = tmp_path / "coarse.pbgr"
+        write_grid(grid_path, GridData([xs[0]], [xs[1] - xs[0]], np.exp(-(xs**2) / 2)))
+        code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
+                        "--data", f"grid:{grid_path}", "--points", "0,1"])
+        assert code == 4
+        # a spike of spread 2e-5 is integrated in the product frame and answers
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
                         "--data", "gaussian:spread=0.00002", "--points", "0,1",
                         "--quad-order", "8"])
-        assert code == 4
+        assert code == 0
+        u = float(capsys.readouterr().out.splitlines()[-1].split(",")[2])
+        exact = math.sqrt(2e-5 / (2e-5 + 1.0))
+        assert abs(u - exact) <= 1e-8 * exact
 
 
 class TestVerifyCommand:

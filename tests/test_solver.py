@@ -8,11 +8,13 @@ import pytest
 
 from parabound import solver as sv
 from parabound.errors import DomainError, FloatOverflow, QuadratureFailure, UnsupportedData
+from parabound.verify import ExtremalTarget, extremal_forcing
 from parabound.sources import (
     BoxIndicator,
     ConstantData,
     GaussianBump,
     GridData,
+    PolynomialGaussian,
     SourceFunction,
     TimeInvariantForcing,
 )
@@ -154,7 +156,11 @@ def gaussian_closed_form(kernel, phi, x, t):
 
 
 class _CountingSource(SourceFunction):
-    """Wraps spatial data and records the batch size of every evaluation."""
+    """Wraps spatial data and records the batch size of every evaluation.
+
+    It does not forward gaussian_factor, so Gaussian data wrapped in it
+    takes the kernel-frame Hermite rule.
+    """
 
     def __init__(self, inner):
         self.inner = inner
@@ -168,8 +174,12 @@ class _CountingSource(SourceFunction):
     def lp_norm(self, p):
         return self.inner.lp_norm(p)
 
-    def localization(self):
-        return self.inner.localization()
+
+class _CountingGaussian(_CountingSource):
+    """A counting wrapper that forwards gaussian_factor: the product-frame rule."""
+
+    def gaussian_factor(self):
+        return self.inner.gaussian_factor()
 
 
 class TestPrunedRule:
@@ -184,6 +194,7 @@ class TestPrunedRule:
     @pytest.mark.parametrize("n, band", [(1, (0.2, 1.0)), (2, (0.2, 1.0)), (3, (0.2, 1.0)),
                                          (1, (2.0, 4.0)), (2, (2.0, 4.0))])
     def test_gaussian_matches_closed_form(self, n, band):
+        # kernel-frame rule (the wrapper hides the Gaussian factor);
         # tau = t lam_max / w^2 with w^2 = 2 spread: below 1 the first rule
         # converges, from 2 to 4 the solver escalates
         rng = np.random.default_rng(int(10 * band[0]) + n)
@@ -196,8 +207,8 @@ class TestPrunedRule:
             center = rng.uniform(-0.5, 0.5, n)
             phi = GaussianBump(center=tuple(center), spread=spread, amp=1.3)
             x = center - t * k.spec.drift + rng.uniform(-1, 1, n) * math.sqrt(spread + t * lam_max)
-            u = sv.solve_homogeneous(k, phi, x, t)
-            grad = sv.gradient_homogeneous(k, phi, x, t)
+            u = sv.solve_homogeneous(k, _CountingSource(phi), x, t)
+            grad = sv.gradient_homogeneous(k, _CountingSource(phi), x, t)
             u_ref, grad_ref = gaussian_closed_form(k, phi, x, t)
             if band[0] < 1.0:
                 assert u == pytest.approx(u_ref, rel=1e-11)
@@ -241,15 +252,36 @@ class TestPrunedRule:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_rule_with_nan_weights_is_never_evaluated(self, n):
-        # tau = 25: the escalation ladder ends at order 512, whose numpy
-        # weights are NaN; the solver stops after the order-256 pass
+        # tau = 25 in the kernel frame: the ladder ends at order 256, below
+        # the orders whose numpy weights are NaN, and the unmet estimate is
+        # what the failure reports
         k = make_kernel(np.eye(n), np.zeros(n), 0.0)
-        data = _CountingSource(GaussianBump(center=(0.0,) * n, spread=0.05))
-        with pytest.raises(QuadratureFailure):
+        phi = GaussianBump(center=(0.0,) * n, spread=0.05)
+        data = _CountingSource(phi)
+        with pytest.raises(QuadratureFailure, match="error estimate"):
             sv.solve_homogeneous(k, data, np.full(n, 0.3), 2.5)
         # the coarse order-48 pass, then orders 64, 128 and 256
         assert data.sizes == [len(sv.pruned_hermite_tensor(order, n)[1])
                               for order in (48, 64, 128, 256)]
+        # the bare bump takes the product frame and answers
+        u = sv.solve_homogeneous(k, phi, np.full(n, 0.3), 2.5)
+        u_ref = gaussian_closed_form(k, phi, np.full(n, 0.3), 2.5)[0]
+        assert abs(u - u_ref) <= sv.DEFAULT_QUADRATURE.target_rel_err * abs(u_ref)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gaussian_factor_takes_the_product_frame(self, n):
+        # orders _coarse_order(8) = 4 and 8 agree on polygauss data, so the
+        # ladder stops after them
+        rng = np.random.default_rng(60 + n)
+        k = random_kernel(rng, n)
+        powers = tuple(int(p) for p in rng.integers(0, 3, n))
+        data = _CountingGaussian(PolynomialGaussian(center=tuple(rng.uniform(-1, 1, n)),
+                                                    spread=0.3, powers=powers))
+        sv.solve_homogeneous(k, data, rng.uniform(-1, 1, n), 0.8)
+        assert data.sizes == [4**n, 8**n]
+        data.sizes.clear()
+        sv.gradient_homogeneous(k, data, rng.uniform(-1, 1, n), 0.8)
+        assert data.sizes == [4**n, 8**n]
 
 
 class TestGridSolve:
@@ -312,8 +344,6 @@ class TestSolveNonhomogeneous:
 
     def test_odd_forcing_extremizes_gradient_at_symmetry_point(self):
         # f odd in y about x with b = 0: u(x, t) = 0 while du/dx != 0
-        from parabound.sources import PolynomialGaussian
-
         f = TimeInvariantForcing(PolynomialGaussian(center=(0.0,), spread=0.8, powers=(1,)))
         u = sv.solve_nonhomogeneous(HEAT_1D, f, [0.0], 0.9)
         g = sv.gradient_nonhomogeneous(HEAT_1D, f, [0.0], 0.9)
@@ -334,24 +364,36 @@ class TestSolveNonhomogeneous:
             mass = (math.exp(c * t) - 1.0) / c if c != 0 else t
             assert abs(u) <= mass * amp * (1 + 1e-6)
 
-    def test_kink_panel_route_skips_coarse_in_space_pass(self, monkeypatch):
-        # the kink-panel route ignores the Hermite order, so a pass at the
-        # coarser order would repeat the fine pass bit for bit
-        orders = []
-        passes = sv._duhamel_pass
+    def test_coarse_in_space_pass_uses_each_routes_coarse_rule(self, monkeypatch):
+        # the sigma nodes run each route's fine rule, and the coarse-in-space
+        # pass its coarse rule (the kink panels excepted); the Hermite order
+        # reaches only the kernel frame
+        used = []
+        route = sv._route
 
-        def recording(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order, sup):
-            orders.append(inner_order)
-            return passes(kernel, forcing, x, t, n_panels, quad, want_gradient, inner_order, sup)
+        def recording(*args):
+            rule, keys = route(*args)
 
-        monkeypatch.setattr(sv, "_duhamel_pass", recording)
-        box = TimeInvariantForcing(BoxIndicator(lo=(-0.5,), hi=(0.7,)))
-        sv.solve_nonhomogeneous(HEAT_1D, box, [0.2], 0.4)
-        assert orders and set(orders) == {64}
-        orders.clear()
-        gauss = TimeInvariantForcing(GaussianBump(center=(0.0,), spread=0.8))
-        sv.solve_nonhomogeneous(HEAT_1D, gauss, [0.2], 0.4)
-        assert sorted(set(orders)) == [48, 64]
+            def rule_recorded(key):
+                used.append(key)
+                return rule(key)
+
+            return rule_recorded, keys
+
+        monkeypatch.setattr(sv, "_route", recording)
+        cases = [
+            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), {(8, 1), (12, 1)}),
+            (GaussianBump(center=(0.0,), spread=0.8), {4, 8}),
+            (ConstantData(2.0), {48, 64}),
+        ]
+        for profile, keys in cases:
+            used.clear()
+            sv.solve_nonhomogeneous(HEAT_1D, TimeInvariantForcing(profile), [0.2], 0.4)
+            assert set(used) == keys
+        used.clear()
+        target = ExtremalTarget(x0=(0.2,), t0=0.4, p=math.inf, direction=(1.0,), mollify=0.3)
+        sv.solve_nonhomogeneous(HEAT_1D, extremal_forcing(HEAT_1D, target), [0.2], 0.4)
+        assert set(used) == {12}
 
 
 class TestErrorPaths:
@@ -366,29 +408,43 @@ class TestErrorPaths:
                 sv.gradient_homogeneous(k, box, [0.95], 0.707)
 
     def test_low_start_order_escalates_past_four_rules(self):
-        # orders 16/32/64/128 leave an estimate of 3e-8; the ladder goes on to 256
+        # kernel frame: orders 16/32/64/128 leave an estimate of 3e-8; the
+        # ladder goes on to 256
         quad = sv.QuadratureConfig(hermite_order=16)
         phi = GaussianBump(center=(0.0,), spread=0.3)
-        u = sv.solve_homogeneous(HEAT_1D, phi, [0.5], 2.0, quad)
+        u = sv.solve_homogeneous(HEAT_1D, _CountingSource(phi), [0.5], 2.0, quad)
         exact = gaussian_closed_form(HEAT_1D, phi, [0.5], 2.0)[0]
         assert abs(u - exact) <= quad.target_rel_err * exact
 
     def test_quadrature_failure_on_underresolved_data(self):
-        sharp = GaussianBump(center=(0.0,), spread=2e-5)
+        # in the kernel frame no rule up to order 256 resolves the bump
+        narrow = GaussianBump(center=(0.0,), spread=0.01)
         rough = sv.QuadratureConfig(hermite_order=8, target_rel_err=1e-10)
         with pytest.raises(QuadratureFailure):
-            sv.solve_homogeneous(HEAT_1D, sharp, [0.0], 1.0, rough)
+            sv.solve_homogeneous(HEAT_1D, _CountingSource(narrow), [0.0], 1.0, rough)
+        # the product frame integrates even a far sharper bump exactly
+        for phi in (narrow, GaussianBump(center=(0.0,), spread=2e-5)):
+            u = sv.solve_homogeneous(HEAT_1D, phi, [0.0], 1.0, rough)
+            u_ref = gaussian_closed_form(HEAT_1D, phi, [0.0], 1.0)[0]
+            assert abs(u - u_ref) <= rough.target_rel_err * u_ref
 
     def test_nonfinite_finest_rule_is_quadrature_failure(self):
-        # tau = t / width^2 = 25: the escalation reaches order 512, whose
-        # numpy Hermite weights contain NaN; that must raise, not return NaN.
+        # tau = t / width^2 = 25 in the kernel frame: the ladder stops at
+        # order 256 (numpy's weights are NaN from 384), so the failure is the
+        # unmet estimate, raised without a NaN or a warning
         narrow = GaussianBump(center=(0.0,), spread=0.05)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(QuadratureFailure):
-                sv.solve_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
-            with pytest.raises(QuadratureFailure):
-                sv.gradient_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
+            with pytest.raises(QuadratureFailure, match="error estimate"):
+                sv.solve_homogeneous(HEAT_1D, _CountingSource(narrow), [0.3], 2.5)
+            with pytest.raises(QuadratureFailure, match="error estimate"):
+                sv.gradient_homogeneous(HEAT_1D, _CountingSource(narrow), [0.3], 2.5)
+            u = sv.solve_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
+            grad = sv.gradient_homogeneous(HEAT_1D, narrow, [0.3], 2.5)
+        u_ref, grad_ref = gaussian_closed_form(HEAT_1D, narrow, [0.3], 2.5)
+        target = sv.DEFAULT_QUADRATURE.target_rel_err
+        assert abs(u - u_ref) <= target * u_ref
+        assert abs(grad[0] - grad_ref[0]) <= target * abs(grad_ref[0])
 
     def test_duhamel_with_nan_weight_order_is_quadrature_failure(self):
         # numpy's order-400 Hermite weights are NaN; the value must not be NaN or 0

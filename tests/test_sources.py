@@ -41,9 +41,13 @@ class TestPresets:
         vals = b(np.array([[0.0, 1.0], [0.0, 4.0], [-2.0, 1.0]]))
         assert np.array_equal(vals, [-2.0, 0.0, 0.0])
 
-    def test_box_kinks_1d(self):
-        b = BoxIndicator(lo=(-1.0,), hi=(1.0,))
-        assert b.kinks_1d() == (-1.0, 1.0)
+    def test_gaussian_factor(self):
+        g = GaussianBump(center=(0.5, -1.0), spread=0.3, amp=2.0)
+        assert g.gaussian_factor() == ((0.5, -1.0), 0.3)
+        pg = PolynomialGaussian(center=(0.2,), spread=0.6, powers=(2,))
+        assert pg.gaussian_factor() == ((0.2,), 0.6)
+        assert BoxIndicator(lo=(-1.0,), hi=(1.0,)).gaussian_factor() is None
+        assert ConstantData(1.0).gaussian_factor() is None
 
     def test_polynomial_gaussian_norms_match_quadrature(self):
         pg = PolynomialGaussian(center=(0.2,), spread=0.6, powers=(2,), amp=0.9)

@@ -18,7 +18,7 @@ from parabound.sharp_constants import (
     sphere_integral,
 )
 from parabound.solver import gradient_homogeneous
-from parabound.sources import GaussianBump
+from parabound.sources import GaussianBump, SourceFunction
 
 from .test_kernel import HEAT_1D, make_kernel, random_kernel
 
@@ -215,6 +215,20 @@ class TestDriftInvariance:
             assert report.rel_err <= 1e-8
 
 
+class _NoGaussianFactor(SourceFunction):
+    """Forwards evaluation and norms only, so the solver takes the kernel frame."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.n = inner.n
+
+    def __call__(self, pts):
+        return self.inner(pts)
+
+    def lp_norm(self, p):
+        return self.inner.lp_norm(p)
+
+
 class TestMaxPrinciple:
     def test_constant_data_attains_equality(self):
         from parabound.sources import ConstantData
@@ -231,15 +245,21 @@ class TestMaxPrinciple:
         assert report.passed and report.ratio < 1.0
 
     def test_unresolved_samples_counted(self):
-        # at t = 2.5 the spread-0.05 bump needs a finer Hermite rule than
-        # the solver has: that sample is counted, not compared
-        phi = GaussianBump(center=(0.0,), spread=0.05)
+        # at t = 2.5 the spread-0.05 bump, hidden from the product frame,
+        # needs a finer kernel-frame rule than the solver has: that sample
+        # is counted, not compared
+        phi = _NoGaussianFactor(GaussianBump(center=(0.0,), spread=0.05))
         resolved, unresolved = (np.array([0.3]), 0.1), (np.array([0.3]), 2.5)
         report = vf.max_principle_check(HEAT_1D, phi, [resolved, unresolved])
         assert report.passed and 0.0 < report.ratio < 1.0
         assert report.config["unresolved_samples"] == 1
         report = vf.max_principle_check(HEAT_1D, phi, [unresolved])
         assert not report.passed
+
+    def test_shipped_check_resolves_every_sample(self):
+        # seed 2000 draws samples up to tau = t lam_max / (2 spread) of about 15
+        report = dict(vf.default_checks(seed=2000))["max_principle/s0"]()
+        assert report.passed and report.config["unresolved_samples"] == 0
 
     def test_decay_with_negative_reaction(self):
         from parabound.sources import ConstantData
