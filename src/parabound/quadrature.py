@@ -15,6 +15,9 @@ import numpy as np
 # pruned_hermite_tensor drops product weights at or below this fraction of
 # the total weight.
 HERMITE_PRUNE_REL = 1e-18
+# Half-width, in kernel standard deviations, of the windows outside which
+# the solver and the oracles drop the kernel (a tail below e^{-72}).
+TRUNCATION_RADIUS = 12.0
 
 
 @lru_cache(maxsize=64)

@@ -11,32 +11,31 @@ solver and for every sigma node of the Duhamel solver alike:
   adaptive Gauss-Hermite of Liu & Pierce, Biometrika 81, 1994). The rule
   integrates only the polynomial left over, exactly from order 4; orders
   4 and 8 are compared and doubled on a miss.
+- Constant data v takes the closed form u = v e^{ct}, grad u = 0.
 - Box data takes tensor composite Gauss-Legendre over the box clipped to
-  the kernel's window x + t b +- truncation_radius sqrt(2 t A_jj), with
+  the kernel's window x + t b +- TRUNCATION_RADIUS sqrt(2 t A_jj), with
   panels at most 2 sqrt(2 t A_jj) wide; axes the box does not clip
   integrate out in closed form (Genz's separation of variables, J. Comput.
   Graph. Stat. 1, 1992). Orders 12 and 8 on the same panels are compared,
   then halved panels.
+- Grid data takes the same tensor rule on its multilinear interpolant
+  over the grid's support clipped to that window, with panel edges at the
+  grid lines, so each panel lies in one cell. Orders climb from 1 (the
+  midpoint rule) to 12, each compared with the one before.
 - n = 1 data with kinks (the extremal |.|^q profiles) takes composite
   Gauss-Legendre panels graded toward the kinks, orders 12 and 8.
-- Everything else (constant, extremal for n >= 2, custom data) takes
-  tensor Gauss-Hermite in the kernel's whitened frame,
+- Everything else (extremal for n >= 2, custom data) takes tensor
+  Gauss-Hermite in the kernel's whitened frame,
   xi = A^{-1/2}(x - y + t b)/(2 sqrt t):
 
     u(x, t) = e^{ct} pi^{-n/2} * sum_i w_i phi(x + t b - 2 sqrt(t) A^{1/2} xi_i),
 
-  at the configured hermite_order, doubled up to 256 on a miss. This rule
-  is pruned (quadrature.pruned_hermite_tensor): nodes whose product
-  weight is at most 1e-18 of the total are dropped. Their mass D = sum w
-  and moment M = sum w |xi| are known, so with front = e^{ct} pi^{-n/2}
-  what they would add is at most front sup|phi| D for u and
-  front sup|phi| M ||A^{-1/2}||_2 / sqrt(t) for grad u; that bound joins
-  the error estimate (data with infinite sup takes the full rule). The
-  kept nodes come in +-xi pairs, so the gradient sums
-  w xi (phi(y+) - phi(y-)) over pairs and is exactly 0 for constant data.
-
-Grid-sampled data integrates by truncated trapezoid over its support box,
-compared with the midpoint rule.
+  at the configured hermite_order, doubled up to 256 on a miss. The rule
+  is pruned of the nodes whose product weight is at most 1e-18 of the
+  total (quadrature.pruned_hermite_tensor), and a bound on what they
+  would add joins the error estimate (_hermite_pass). The kept nodes come
+  in +-xi pairs, so the gradient sums w xi (phi(y+) - phi(y-)) over pairs
+  and is exactly 0 for constant-valued data.
 
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
@@ -67,15 +66,16 @@ from .errors import (
 from .kernel import FundamentalSolution, ProblemSpec
 from .mathcore import LOG_FLOAT_MAX, SpdMatrix, spectral_norm_inv_sqrt
 from .quadrature import (
+    TRUNCATION_RADIUS,
     hermite_rule,
     hermite_tensor,
-    legendre_rule,
     panel_edges,
     panel_nodes,
     pruned_hermite_tensor,
 )
 from .sources import (
     BoxIndicator,
+    ConstantData,
     GridData,
     SourceFunction,
     SpaceTimeSource,
@@ -84,8 +84,10 @@ from .sources import (
 )
 
 SOLVER_MAX_DIM = 3
-# Largest tensor rule (Hermite order^n nodes, or box panel nodes) a solve may evaluate.
+# Largest tensor rule (Hermite order^n nodes, or box and grid panel nodes) a solve may evaluate.
 _MAX_TENSOR_NODES = 2**21
+# Duhamel sigma panels at the first level; each further level doubles them
+_TIME_PANELS = 48
 
 
 @dataclass(frozen=True)
@@ -93,20 +95,20 @@ class QuadratureConfig:
     """Quadrature knobs for the solvers and oracles.
 
     hermite_order is the starting order of the kernel-frame Gauss-Hermite
-    rule only (and the oracles' Hermite rules); Gaussian, polygauss, box
-    and kinked n = 1 data use their own fixed rules. An order numpy cannot
-    build (384 and up) raises QuadratureFailure in either Hermite frame.
+    rule only (and the oracles' Hermite rules); Gaussian, polygauss, box,
+    grid and kinked n = 1 data use their own fixed rules, and constant data
+    its closed form. An order numpy cannot build (384 and up) raises
+    QuadratureFailure in either Hermite frame. target_rel_err is the error
+    every solve must meet, relative to its tolerance scale.
     """
 
     hermite_order: int = 64
-    time_panels: int = 48
-    truncation_radius: float = 12.0
     target_rel_err: float = 1e-8
 
     def __post_init__(self):
         if self.hermite_order < 8:
             raise DomainError("hermite_order must be >= 8")
-        if self.time_panels < 1 or self.truncation_radius <= 0 or self.target_rel_err <= 0:
+        if not self.target_rel_err > 0:
             raise DomainError("quadrature configuration values must be positive")
 
 
@@ -123,6 +125,8 @@ def _check_solver_args(kernel: FundamentalSolution, x, t: float):
     x = np.asarray(x, dtype=float).reshape(-1)
     if x.shape != (kernel.n,):
         raise DomainError(f"point has dimension {x.shape[0]}, expected {kernel.n}")
+    if not all(map(math.isfinite, x)):
+        raise DomainError(f"point {x.tolist()} is not finite")
     return x, float(t)
 
 
@@ -231,67 +235,120 @@ def _product_pass(kernel, data, center, spread, frame, order, want_gradient):
     return (value, np.zeros(len(value))) if ndim else (float(value[0]), 0.0)
 
 
-def _box_window(kernel, box, x, t, quad):
-    """The box clipped to the kernel's window, on the axes the box clips.
+def _constant_pass(kernel, value, t, key, want_gradient):
+    """Constant data v: u = v e^{ct} and grad u = 0, exactly; t may be an array of kernel times."""
+    c = kernel.spec.reaction
+    if np.ndim(t):
+        t = np.asarray(t)
+        out = np.zeros((t.size, kernel.n)) if want_gradient else value * np.exp(c * t)
+        return out, np.zeros(t.size)
+    return (np.zeros(kernel.n) if want_gradient else value * math.exp(c * t)), 0.0
 
-    The window is x + t b +- truncation_radius sigma_j with
-    sigma_j = sqrt(2 t A_jj). An axis whose window lies inside the box
-    integrates out exactly (a Gaussian's marginal is Gaussian), so only the
-    clipped axes cut are kept, with the kernel of the marginal problem
-    over them. Returns (kernel, cut, lo, hi, sigma) on those axes, or None
-    when the intersection is empty.
+
+def _clip_to_window(kernel, x, t, lo, hi):
+    """[lo, hi] clipped to the window x + t b +- TRUNCATION_RADIUS sigma_j, sigma_j = sqrt(2 t A_jj).
+
+    Returns the clipped ends, sigma and the axes on which [lo, hi] cuts the
+    window, or None when the two do not meet.
     """
-    a = kernel.spec.diffusion.entries
     mean = x + t * kernel.spec.drift
-    sigma = np.sqrt(2.0 * t * np.diag(a))
-    reach = quad.truncation_radius * sigma
-    lo = np.maximum(box.lo, mean - reach)
-    hi = np.minimum(box.hi, mean + reach)
-    if np.any(hi <= lo):
+    sigma = np.sqrt(2.0 * t * kernel.spec.diffusion.entries.diagonal())
+    reach = TRUNCATION_RADIUS * sigma
+    lo, hi = np.maximum(lo, mean - reach), np.minimum(hi, mean + reach)
+    if (hi <= lo).any():
         return None
-    cut = np.flatnonzero((lo > mean - reach) | (hi < mean + reach))
+    return lo, hi, sigma, ((lo > mean - reach) | (hi < mean + reach)).nonzero()[0]
+
+
+def _box_window(kernel, box, x, t):
+    """(kernel, cut, breaks, sigma): the box clipped to the kernel's window, on the axes it clips.
+
+    An axis whose window lies inside the box integrates out exactly (a
+    Gaussian's marginal is Gaussian), so the kernel is that of the marginal
+    problem on the clipped axes cut; None when the intersection is empty.
+    """
+    clipped = _clip_to_window(kernel, x, t, box.lo, box.hi)
+    if clipped is None:
+        return None
+    lo, hi, sigma, cut = clipped
     if 0 < cut.size < kernel.n:
         spec = kernel.spec
-        kernel = FundamentalSolution(ProblemSpec(
-            SpdMatrix(a[np.ix_(cut, cut)]), spec.drift[cut], spec.reaction, spec.horizon))
-    return kernel, cut, lo[cut], hi[cut], sigma[cut]
+        kernel = FundamentalSolution(ProblemSpec(SpdMatrix(spec.diffusion.entries[np.ix_(cut, cut)]),
+                                                 spec.drift[cut], spec.reaction, spec.horizon))
+    return kernel, cut, np.array([lo[cut], hi[cut]]).T, sigma[cut]
+
+
+def _tensor_rule(breaks, sigma, rule):
+    """Tensor composite Gauss-Legendre nodes (m, k) and weights over the box the breaks span.
+
+    rule = (order, split): on axis j each interval between breaks is cut
+    into as many equal panels as keep the widest at most 2 sigma_j / split.
+    A rule over _MAX_TENSOR_NODES nodes raises QuadratureFailure.
+    """
+    order, split = rule
+    edges = []
+    for cuts, sd in zip(breaks, sigma):
+        lengths = cuts[1:] - cuts[:-1]
+        count = math.ceil(split * float(lengths.max()) / (2.0 * sd))
+        # start + k * step in each interval, as np.linspace computes its points
+        inner = (lengths / count)[:, None] * np.arange(count) + cuts[:-1, None]
+        edges.append(np.concatenate((inner.ravel(), cuts[-1:])))
+    size = math.prod(e.size - 1 for e in edges) * order ** len(edges)
+    if size > _MAX_TENSOR_NODES:
+        raise QuadratureFailure(f"box rule needs {size} nodes, over the budget {_MAX_TENSOR_NODES}")
+    axes = [panel_nodes(e, order) for e in edges]
+    weights = reduce(np.multiply.outer, [w for _, w in axes]).reshape(-1)
+    return _lattice([nodes for nodes, _ in axes]), weights
 
 
 def _box_pass(kernel, box, x, t, window, rule, want_gradient):
     """Tensor composite Gauss-Legendre over the clipped box (see _box_window).
 
-    rule = (order, split): every clipped axis takes panels at most
-    2 sigma_j / split wide. An empty intersection gives exactly 0, a box
-    that clips no axis e^{ct} amp, and the gradient has no component along
-    the axes the box does not clip.
+    An empty intersection gives exactly 0, a box that clips no axis
+    e^{ct} amp, and the gradient has no component along the axes the box
+    does not clip.
     """
-    out = np.zeros(kernel.n) if want_gradient else 0.0
     if window is None:
-        return out, 0.0
-    sub, cut, lo, hi, sigma = window
+        return (np.zeros(kernel.n) if want_gradient else 0.0), 0.0
+    sub, cut, breaks, sigma = window
     if cut.size == 0:
-        return (out if want_gradient else box.amp * math.exp(kernel.spec.reaction * t)), 0.0
-    order, split = rule
-    panels = [math.ceil(split * (h - l) / (2.0 * sd)) for l, h, sd in zip(lo, hi, sigma)]
-    size = math.prod(panels) * order ** len(panels)
-    if size > _MAX_TENSOR_NODES:
-        raise QuadratureFailure(f"box rule needs {size} nodes, over the budget {_MAX_TENSOR_NODES}")
-    axes = [panel_nodes(np.linspace(l, h, count + 1), order)
-            for l, h, count in zip(lo, hi, panels)]
-    weights = reduce(np.multiply.outer, [w for _, w in axes]).reshape(-1)
-    args = x[cut] - _lattice([nodes for nodes, _ in axes])
+        return _constant_pass(kernel, box.amp, t, rule, want_gradient)
+    args, weights = _tensor_rule(breaks, sigma, rule)
+    # x - y over the lattice, in place: the lattice can hold millions of nodes
+    np.subtract(x[cut], args, out=args)
     if want_gradient:
+        out = np.zeros(kernel.n)
         out[cut] = box.amp * (weights @ sub.gradient(args, t))
         return out, 0.0
     return box.amp * float(weights @ sub.value(args, t)), 0.0
 
 
-def _kink_edges(kernel, data, x, t, quad):
+def _grid_pass(kernel, grid, x, t, order, want_gradient):
+    """The tensor rule of one order on the grid's multilinear interpolant.
+
+    It runs over the grid's support clipped to the kernel's window, with
+    panel edges at the grid lines, so every panel lies in one cell.
+    """
+    lines = [o + h * np.arange(m) for o, h, m in zip(grid.origin, grid.spacing, grid.values.shape)]
+    clipped = _clip_to_window(kernel, x, t, [g[0] for g in lines], [g[-1] for g in lines])
+    if clipped is None:
+        return (np.zeros(kernel.n) if want_gradient else 0.0), 0.0
+    lo, hi, sigma, _ = clipped
+    breaks = [np.concatenate([[l], g[(g > l) & (g < h)], [h]]) for l, h, g in zip(lo, hi, lines)]
+    args, weights = _tensor_rule(breaks, sigma, (order, 1))
+    weights = weights * grid(args)
+    np.subtract(x, args, out=args)
+    if want_gradient:
+        return weights @ kernel.gradient(args, t), 0.0
+    return float(weights @ kernel.value(args, t)), 0.0
+
+
+def _kink_edges(kernel, data, x, t):
     """Panel edges over the n = 1 kernel window, graded toward the data's kinks."""
     center = float(x[0] + t * kernel.spec.drift[0])
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
-    lo = center - quad.truncation_radius * sigma
-    hi = center + quad.truncation_radius * sigma
+    lo = center - TRUNCATION_RADIUS * sigma
+    hi = center + TRUNCATION_RADIUS * sigma
     return panel_edges(lo, hi, [k for k in data.kinks_1d() if lo < k < hi])
 
 
@@ -303,40 +360,6 @@ def _panel_pass_1d(kernel, data, x, t, edges, order, want_gradient):
         g = kernel.gradient(args, t)[:, 0]
         return np.array([float(weights @ (g * vals))]), 0.0
     return float(weights @ (kernel.value(args, t) * vals)), 0.0
-
-
-def _grid_pass(kernel, grid: GridData, x, t, quad, want_gradient, midpoint):
-    if midpoint:
-        pts = grid.cell_centers(1)
-        vals = grid(pts)
-        weights = np.full(vals.size, float(np.prod(grid.spacing)))
-    else:
-        vals = grid.values
-        pts = grid.node_points()
-        weights = np.ones(1)
-        for size in vals.shape:
-            w = np.ones(size)
-            w[0] = w[-1] = 0.5
-            weights = np.multiply.outer(weights, w).reshape(-1)
-        weights = weights * float(np.prod(grid.spacing))
-    flat = vals.reshape(-1)
-
-    xi = kernel.whitened(x[None, :] - pts, t)
-    q = np.einsum("ij,ij->i", xi, xi)
-    keep = q <= quad.truncation_radius**2
-    dropped = ~keep
-    if np.any(dropped):
-        worst = float(np.max(np.exp(-q[dropped]) * np.abs(flat[dropped])))
-        if worst > quad.target_rel_err * max(float(np.abs(flat).max()), 1e-300):
-            raise UnsupportedData(
-                "grid support extends beyond the truncation radius with "
-                "non-negligible kernel weight; enlarge truncation_radius"
-            )
-    args = x[None, :] - pts[keep]
-    if want_gradient:
-        g = kernel.gradient(args, t)
-        return (weights[keep] * flat[keep]) @ g
-    return float((weights[keep] * flat[keep]) @ kernel.value(args, t))
 
 
 def _escalation_orders(start: int, dim: int):
@@ -358,6 +381,10 @@ def _coarse_order(order: int) -> int:
 _BOX_RULES = ((8, 1), (12, 1), (12, 2))
 # Gauss-Legendre orders of the kink panels, coarse first
 _KINK_RULES = (8, 12)
+# Gauss-Legendre orders of the grid cells, coarse first
+_GRID_ORDERS = tuple(range(1, 13))
+# a closed form: its coarse and fine rungs are one and the same
+_CLOSED_FORM = ("closed form",) * 2
 
 
 def _route(kernel, data, x, t, quad, want_gradient, sup):
@@ -366,9 +393,10 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
     Returns (rule, keys): rule(key) gives the integral and a bound on what
     the rule leaves out; keys[0] names the coarse comparison rule and
     keys[1:] the ladder an unmet error estimate climbs. Data with a
-    Gaussian factor takes the product frame, box data the box rule, n = 1
-    data with kinks the kink panels and everything else the kernel frame.
-    An array t (several kernel times) gives results stacked by time.
+    Gaussian factor takes the product frame, constant data its closed
+    form, box data the box rule, grid data its cells, n = 1 data with
+    kinks the kink panels and everything else the kernel frame. An array t
+    (several kernel times) gives results stacked by time.
     """
     factor = data.gaussian_factor()
     if factor is not None:
@@ -379,6 +407,9 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
         keys = [_coarse_order(8)] + _escalation_orders(8, kernel.n)
         return partial(_product_pass, kernel, data, center, spread, frame,
                        want_gradient=want_gradient), keys
+    if isinstance(data, ConstantData):
+        return partial(_constant_pass, kernel, data.value, t,
+                       want_gradient=want_gradient), _CLOSED_FORM
     if np.ndim(t):
         routes = [_route(kernel, data, x, s, quad, want_gradient, sup) for s in t]
 
@@ -388,10 +419,12 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
 
         return stacked, routes[0][1]
     if isinstance(data, BoxIndicator):
-        return partial(_box_pass, kernel, data, x, t, _box_window(kernel, data, x, t, quad),
+        return partial(_box_pass, kernel, data, x, t, _box_window(kernel, data, x, t),
                        want_gradient=want_gradient), _BOX_RULES
+    if isinstance(data, GridData):
+        return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
     if kernel.n == 1 and data.kinks_1d():
-        return partial(_panel_pass_1d, kernel, data, x, t, _kink_edges(kernel, data, x, t, quad),
+        return partial(_panel_pass_1d, kernel, data, x, t, _kink_edges(kernel, data, x, t),
                        want_gradient=want_gradient), _KINK_RULES
     keys = [_coarse_order(quad.hermite_order)] + _escalation_orders(quad.hermite_order, kernel.n)
     return partial(_hermite_pass, kernel, data, x, t, want_gradient=want_gradient, sup=sup), keys
@@ -421,22 +454,16 @@ def _hom_eval(kernel, data, x, t, quad, want_gradient):
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
     _check_float_range(kernel, t, want_gradient)
-    if isinstance(data, GridData):
-        fine = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=False)
-        mid = _grid_pass(kernel, data, x, t, quad, want_gradient, midpoint=True)
-        est = 2.0 / 3.0 * _magnitude(fine - mid)
-        value = fine
-    else:
-        rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
-        value, _ = rule(keys[0])
-        est = math.inf
-        for key in keys[1:]:
-            finer, dropped = rule(key)
-            est = _magnitude(finer - value) + dropped
-            value = finer
-            scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
-            if est <= quad.target_rel_err * scale:
-                break
+    rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
+    value, _ = rule(keys[0])
+    est = math.inf
+    for key in keys[1:]:
+        finer, dropped = rule(key)
+        est = _magnitude(finer - value) + dropped
+        value = finer
+        scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
+        if est <= quad.target_rel_err * scale:
+            break
     if not (math.isfinite(est) and np.all(np.isfinite(value))):
         raise QuadratureFailure(
             f"spatial quadrature gave a non-finite value or error estimate ({est:.3e})"
@@ -489,12 +516,8 @@ def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, level, s
     keep their fine rule there: their comparison would add 40% to a kinked
     Duhamel solve.
     """
-    gl_x, gl_w = legendre_rule(8)
-    edges = np.linspace(0.0, math.sqrt(t), n_panels + 1)
-    a, b = edges[:-1][:, None], edges[1:][:, None]
-    half = 0.5 * (b - a)
-    sigmas = (a + half * (gl_x[None, :] + 1.0)).reshape(-1)
-    weights = 2.0 * sigmas * (half * gl_w[None, :]).reshape(-1)
+    sigmas, weights = panel_nodes(np.linspace(0.0, math.sqrt(t), n_panels + 1), 8)
+    weights = 2.0 * sigmas * weights
     times = sigmas * sigmas
     if isinstance(forcing, TimeInvariantForcing):
         groups = [(forcing.profile, times, weights)]
@@ -530,7 +553,7 @@ def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
     else:
         mass = t
     value = est = None
-    panels = quad.time_panels
+    panels = _TIME_PANELS
     for level in range(3):
         fine, coarse_s, dropped = _duhamel_pass(
             kernel, forcing, x, t, panels, quad, want_gradient, level, sup, coarse=True

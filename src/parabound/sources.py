@@ -49,6 +49,12 @@ class SourceFunction:
         return None
 
 
+def _check_finite(*values):
+    """Reject a NaN or infinite data parameter: no finite solution exists for it."""
+    if not np.all(np.isfinite(values)):
+        raise DomainError("data parameters must be finite")
+
+
 def _as_points(pts, n):
     pts = np.asarray(pts, dtype=float)
     if pts.ndim == 1:
@@ -70,6 +76,7 @@ class GaussianBump(SourceFunction):
         if not self.spread > 0:
             raise DomainError("spread must be positive")
         object.__setattr__(self, "center", tuple(float(v) for v in np.atleast_1d(self.center)))
+        _check_finite(self.spread, self.amp, *self.center)
 
     @property
     def n(self):
@@ -100,8 +107,10 @@ class BoxIndicator(SourceFunction):
     def __post_init__(self):
         lo = tuple(float(v) for v in np.atleast_1d(self.lo))
         hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        if len(lo) != len(hi) or any(h <= l for l, h in zip(lo, hi)):
+        # bounds may be infinite (a half-space or slab), but not NaN
+        if len(lo) != len(hi) or any(not h > l for l, h in zip(lo, hi)):
             raise DomainError("box must satisfy lo < hi componentwise")
+        _check_finite(self.amp)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
@@ -137,6 +146,7 @@ class PolynomialGaussian(SourceFunction):
         powers = tuple(int(k) for k in np.atleast_1d(self.powers))
         if len(powers) != len(center) or any(k < 0 for k in powers):
             raise DomainError("powers must be nonnegative ints matching the dimension")
+        _check_finite(self.spread, self.amp, *center)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "powers", powers)
 
@@ -178,6 +188,9 @@ class ConstantData(SourceFunction):
     value: float
     dim: int = 1
 
+    def __post_init__(self):
+        _check_finite(self.value)
+
     @property
     def n(self):
         return self.dim
@@ -206,7 +219,10 @@ def _lattice(axes):
 class GridData(SourceFunction):
     """Uniform-grid samples with multilinear interpolation, zero outside.
 
-    The support box runs from origin to origin + spacing * (dims - 1).
+    The support box runs from origin to origin + spacing * (dims - 1). The
+    solvers integrate this interpolant cell by cell, where it is a
+    polynomial, so a solve answers for the interpolant, not for the
+    function the grid samples.
     L^p norms (finite p) integrate the interpolant by midpoint rules at
     three refinement levels with Richardson extrapolation; the relative
     error estimate of the most recent finite-p norm is stored in
@@ -225,6 +241,7 @@ class GridData(SourceFunction):
             raise DomainError("grid needs at least 2 samples per axis")
         if not np.all(np.isfinite(values)):
             raise DomainError("grid samples must be finite")
+        _check_finite(*origin, *spacing)
         self.origin = origin
         self.spacing = spacing
         self.values = values
@@ -234,12 +251,6 @@ class GridData(SourceFunction):
     @property
     def n(self):
         return self.origin.shape[0]
-
-    def node_points(self):
-        return _lattice(
-            self.origin[j] + self.spacing[j] * np.arange(self.values.shape[j])
-            for j in range(self.n)
-        )
 
     def cell_centers(self, refine):
         """Centres of the cells after splitting each cell into refine^n, as (m, n) points."""

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DivergentIntegral, DomainError, QuadratureFailure, UnsupportedData
 from .kernel import FundamentalSolution, ProblemSpec
 from .mathcore import SpdMatrix
-from .quadrature import hermite_tensor, panel_edges, panel_nodes
+from .quadrature import TRUNCATION_RADIUS, hermite_tensor, panel_edges, panel_nodes
 from .sharp_constants import (
     BoundQuery,
     conjugate_exponent,
@@ -138,7 +138,7 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     ell = np.asarray(direction, dtype=float).reshape(n)
     q_rot, shift, chol = _directional_kink_frame(kernel, ell, t)
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
-    radius = quad.truncation_radius * sigma
+    radius = TRUNCATION_RADIUS * sigma
     z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,)), order=12)
     center = -t * kernel.spec.drift
     if n == 1:

@@ -31,10 +31,8 @@ from parabound.sources import (
     BoxIndicator,
     ConstantData,
     GaussianBump,
-    GridData,
     PolynomialGaussian,
     TimeInvariantForcing,
-    write_grid,
 )
 
 SEED = 20250810
@@ -281,12 +279,10 @@ def test_criterion_10_cli_round_trip(tmp_path):
     bad.write_text("{broken")
     ok &= cli.main(["constant", "--spec", str(bad), "--kind", "hom", "--p", "2",
                     "--t", "1", "--dir", "1"]) == 2
-    # a 21-node grid cannot meet the default target
-    xs = np.linspace(-8.0, 8.0, 21)
-    grid_path = tmp_path / "coarse.pbgr"
-    write_grid(grid_path, GridData([xs[0]], [xs[1] - xs[0]], np.exp(-(xs**2) / 2)))
+    # numpy cannot build the order-400 Hermite rule: quadrature failure
     ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "hom",
-                    "--data", f"grid:{grid_path}", "--points", "0,1"]) == 4
+                    "--data", "gaussian:spread=1", "--points", "0,1",
+                    "--quad-order", "400"]) == 4
     # the spread-2e-5 spike answers, at the Gaussian closed form
     spike = tmp_path / "spike.csv"
     ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "hom",

@@ -18,8 +18,11 @@ from hypothesis import strategies as st
 from parabound import cli
 from parabound.kernel import FundamentalSolution, ProblemSpec
 from parabound.solver import solve_batch
-from parabound.sources import GaussianBump, GridData, write_grid
+from parabound.sources import GaussianBump, GridData, read_grid, write_grid
 from parabound.verify import default_checks, run_checks
+
+from .test_kernel import HEAT_1D
+from .test_references import grid_reference
 
 SPEC_1D = {"n": 1, "A": [[1.0]], "b": [0.0], "c": 0.0, "T": 8.0}
 SPEC_2D = {"n": 2, "A": [[1.0, 0.2], [0.2, 2.0]], "b": [0.5, -1.0], "c": -0.25, "T": 8.0}
@@ -190,6 +193,33 @@ class TestSolveCommand:
                             "--data", "constant:value=1", "--points", "0,5"])
             assert code == 2
 
+    @pytest.mark.parametrize("kind, data, point", [
+        ("nonhom", "constant:value=inf", "0,1"),
+        ("hom", "constant:value=nan", "0,1"),
+        ("hom", "gaussian:amp=nan", "0,1"),
+        ("hom", "gaussian:spread=inf", "0,1"),
+        ("hom", "gaussian:center=nan", "0,1"),
+        ("hom", "polygauss:spread=1,amp=inf", "0,1"),
+        ("hom", "box:lo=nan,hi=1", "0,1"),
+        ("hom", "box:lo=-1,hi=1,amp=inf", "0,1"),
+        ("hom", "gaussian:spread=1", "inf,1"),
+        ("nonhom", "gaussian:spread=1", "nan,1"),
+    ])
+    def test_exit_2_on_nonfinite_input(self, spec_path, kind, data, point):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve", "--spec", spec_path, "--kind", kind, "--data", data,
+                            "--points", point])
+        assert code == 2
+
+    def test_infinite_box_bound_answers(self, spec_path, capsys):
+        # a half-line is a box: u = P(Y <= 1), Y ~ N(0, 2)
+        code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
+                        "--data", "box:lo=-inf,hi=1", "--points", "0,1"])
+        assert code == 0
+        u = float(capsys.readouterr().out.splitlines()[-1].split(",")[2])
+        assert u == pytest.approx(0.5 * (1.0 + math.erf(0.5)), rel=1e-10)
+
     def test_no_negative_zero(self, spec_path, tmp_path):
         assert cli.fmt(-0.0) == "0"
         assert cli.fmt(-1e-300) == "-1e-300"
@@ -261,18 +291,20 @@ class TestSolveCommand:
         grid_path = tmp_path / "data.pbgr"
         write_grid(grid_path, GridData([xs[0]], [h], np.exp(-(xs**2) / 2)))
         out = tmp_path / "grid.csv"
-        # the conservative trapezoid estimate cannot certify 1e-8 on an
-        # h = 0.02 grid: quadrature failure
+        # numpy cannot build the order-400 Hermite rule: quadrature failure
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
-                        "--data", f"grid:{grid_path}", "--points", "0,1", "--out", str(out)])
+                        "--data", "gaussian:spread=1", "--points", "0,1",
+                        "--quad-order", "400", "--out", str(out)])
         assert code == 4
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
-                        "--data", f"grid:{grid_path}", "--points", "0,1",
-                        "--target-rel-err", "1e-4", "--out", str(out)])
+                        "--data", f"grid:{grid_path}", "--points", "0.3,1", "--out", str(out)])
         assert code == 0
-        u = float(out.read_text().splitlines()[2].split(",")[2])
-        exact = math.sqrt(0.5 / 1.5)  # gaussian spread 1/2 at x=0, t=1
-        assert u == pytest.approx(exact, rel=1e-6)
+        u, du = (float(v) for v in out.read_text().splitlines()[2].split(",")[2:])
+        # the exact convolution of the interpolant, at the solver's own contract
+        grid = read_grid(grid_path)
+        u_ref, grad_ref = grid_reference(HEAT_1D, grid, [grid.values], [0.3], 1.0)
+        assert abs(u - u_ref) <= 1e-8 * u_ref
+        assert abs(du - grad_ref[0]) <= 1e-8 * max(abs(grad_ref[0]), 1e-3 * grid.sup_norm())
         bad = tmp_path / "bad.pbgr"
         bad.write_bytes(b"WRNG" + bytes(32))
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
@@ -307,12 +339,9 @@ class TestSolveCommand:
         assert len(out.read_text().splitlines()) == 4
 
     def test_exit_4_on_unresolvable_data(self, spec_path, tmp_path, capsys):
-        # a 21-node grid of exp(-x^2/2) cannot meet the default 1e-8 target
-        xs = np.linspace(-8.0, 8.0, 21)
-        grid_path = tmp_path / "coarse.pbgr"
-        write_grid(grid_path, GridData([xs[0]], [xs[1] - xs[0]], np.exp(-(xs**2) / 2)))
+        # numpy cannot build the order-400 Hermite rule
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
-                        "--data", f"grid:{grid_path}", "--points", "0,1"])
+                        "--data", "gaussian:spread=1", "--points", "0,1", "--quad-order", "400"])
         assert code == 4
         # a spike of spread 2e-5 is integrated in the product frame and answers
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",

@@ -2,10 +2,11 @@
 
 Polygauss data against Isserlis moments of the product Gaussian, box data
 against erf of the (conditional) normal law, with gradients from the face
-integrals of the kernel, and Gaussian data far into the wide-kernel regime
-against its closed form. Every comparison uses the solver's own error
-contract: target_rel_err times max(|reference|, 1e-3 of the bound
-e^{ct} sup|data|, divided by sqrt(t) for gradients).
+integrals of the kernel, Gaussian data far into the wide-kernel regime
+against its closed form, grid data against erf and exp per linear cell of
+its interpolant, and constant data against v e^{ct}. Every comparison uses
+the solver's own error contract: target_rel_err times max(|reference|,
+1e-3 of the bound e^{ct} sup|data|, divided by sqrt(t) for gradients).
 """
 
 import math
@@ -16,7 +17,14 @@ from scipy import integrate
 from scipy.special import erf
 
 from parabound import solver as sv
-from parabound.sources import BoxIndicator, GaussianBump, PolynomialGaussian, TimeInvariantForcing
+from parabound.sources import (
+    BoxIndicator,
+    ConstantData,
+    GaussianBump,
+    GridData,
+    PolynomialGaussian,
+    TimeInvariantForcing,
+)
 
 from .test_kernel import make_kernel, random_kernel
 from .test_solver import gaussian_closed_form
@@ -240,3 +248,100 @@ def test_box_forcing_2d_answers():
         assert abs(u - u_ref) <= TARGET * max(abs(u_ref), 1e-3 * mass)
         grad_scale = max(np.linalg.norm(grad_ref), 1e-3 * mass / math.sqrt(t))
         assert np.linalg.norm(grad - grad_ref) <= TARGET * grad_scale
+
+
+def linear_cells_moments(values, origin, h, mean, sd):
+    """E f(Y) and its derivative in mean, cell by cell, for Y ~ N(mean, sd^2).
+
+    f is the piecewise-linear interpolant of values at origin + h k, zero
+    outside. On a cell f(y) = alpha + beta y; with y = mean + sd z and
+    level = alpha + beta mean the cell gives
+    level dPhi + beta sd (phi(z_a) - phi(z_b)), and since
+    d/dmean N(y; mean, sd^2) = (y - mean) / sd^2 N, the derivative is
+    [level (phi(z_a) - phi(z_b)) + beta sd (dPhi + z_a phi(z_a) - z_b phi(z_b))] / sd.
+    """
+    values = np.asarray(values, dtype=float)
+    ys = origin + h * np.arange(values.size)
+    beta = np.diff(values) / h
+    level = values[:-1] - beta * ys[:-1] + beta * mean
+    za, zb = (ys[:-1] - mean) / sd, (ys[1:] - mean) / sd
+    mass = 0.5 * (erf(zb / math.sqrt(2.0)) - erf(za / math.sqrt(2.0)))
+    pa = np.exp(-0.5 * za**2) / math.sqrt(2.0 * math.pi)
+    pb = np.exp(-0.5 * zb**2) / math.sqrt(2.0 * math.pi)
+    value = np.sum(level * mass + beta * sd * (pa - pb))
+    slope = np.sum(level * (pa - pb) + beta * sd * (mass + za * pa - zb * pb)) / sd
+    return float(value), float(slope)
+
+
+def grid_reference(kernel, grid, factors, x, t):
+    """u and grad u for grid data with samples outer(*factors) and a diagonal A.
+
+    In n dimensions the multilinear interpolant of an outer product is the
+    product of the 1-D interpolants, so u is e^{ct} times the product of the
+    1-D cell sums (linear_cells_moments) and grad u follows by the product
+    rule. A 1-D grid is its own single factor.
+    """
+    m = np.asarray(x) + t * kernel.spec.drift
+    sd = np.sqrt(2.0 * t * np.diag(kernel.spec.diffusion.entries))
+    parts = [linear_cells_moments(f, grid.origin[j], grid.spacing[j], m[j], sd[j])
+             for j, f in enumerate(factors)]
+    vals = np.array([p[0] for p in parts])
+    front = math.exp(kernel.spec.reaction * t)
+    grad = np.array([parts[j][1] * np.prod(np.delete(vals, j)) for j in range(len(parts))])
+    return front * float(np.prod(vals)), front * grad
+
+
+def _gaussian_grid_1d(h, half=8.0):
+    xs = np.arange(-half, half + h / 2, h)
+    return GridData([xs[0]], [h], np.exp(-(xs**2) / 2.0))
+
+
+@pytest.mark.parametrize("b, c", [(0.0, 0.0), (0.5, -0.25)])
+def test_grid_1d_matches_linear_cells(b, c):
+    # 1601 and 21 nodes; from a kernel narrower than a cell to one wider than the grid
+    k = make_kernel([[1.3]], [b], c)
+    for grid in (_gaussian_grid_1d(0.01), _gaussian_grid_1d(0.8)):
+        for x, t in [(0.5, 2.0), (0.3, 0.7), (-1.2, 1e-4), (7.9, 0.01), (3.0, 8.0)]:
+            u, grad = solve_both(k, grid, [x], t)
+            u_ref, grad_ref = grid_reference(k, grid, [grid.values], [x], t)
+            assert_within_contract(u, grad, u_ref, grad_ref, math.exp(c * t), t)
+
+
+def test_grid_2d_separable_matches_product_of_linear_cells():
+    k = make_kernel(np.diag([0.7, 1.6]), [0.4, -0.3], 0.2)
+    ax, ay = np.linspace(-4.0, 4.0, 41), np.linspace(-3.0, 5.0, 33)
+    a, b = np.exp(-(ax**2) / 2.0) * (1.0 + 0.3 * ax), np.cos(ay / 2.0) ** 2
+    grid = GridData([ax[0], ay[0]], [ax[1] - ax[0], ay[1] - ay[0]], np.outer(a, b))
+    sup = float(np.abs(grid.values).max())
+    for x, t in [([0.3, -0.2], 0.05), ([1.0, 2.0], 0.7), ([-3.5, 4.8], 0.3)]:
+        u, grad = solve_both(k, grid, x, t)
+        u_ref, grad_ref = grid_reference(k, grid, [a, b], x, t)
+        assert_within_contract(u, grad, u_ref, grad_ref, math.exp(0.2 * t) * sup, t)
+
+
+def test_grid_forcing_matches_time_integral_of_linear_cells():
+    # u(x, t) is the homogeneous grid solution integrated over kernel time s
+    k = make_kernel([[1.0]], [0.0], 0.0)
+    grid = _gaussian_grid_1d(0.01)
+    x, t = [0.5], 1.0
+    u = sv.solve_nonhomogeneous(k, TimeInvariantForcing(grid), x, t)
+    u_ref = integrate.quad(lambda s: grid_reference(k, grid, [grid.values], x, s)[0], 0.0, t,
+                           epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+    assert abs(u - u_ref) <= TARGET * u_ref
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("c", [-0.7, 0.0, 0.45])
+def test_constant_data_is_v_exp_ct(n, c):
+    rng = np.random.default_rng(30 + n)
+    k = random_kernel(rng, n)
+    k = make_kernel(k.spec.diffusion.entries, k.spec.drift, c)
+    v = -1.7
+    for t in (1e-3, 0.6, 3.0):
+        x = rng.uniform(-2, 2, n)
+        assert sv.solve_homogeneous(k, ConstantData(v, dim=n), x, t) == v * math.exp(c * t)
+        assert np.all(sv.gradient_homogeneous(k, ConstantData(v, dim=n), x, t) == 0.0)
+        forcing = TimeInvariantForcing(ConstantData(v, dim=n))
+        mass = t if c == 0.0 else (math.exp(c * t) - 1.0) / c
+        assert sv.solve_nonhomogeneous(k, forcing, x, t) == pytest.approx(v * mass, rel=1e-13)
+        assert np.all(sv.gradient_nonhomogeneous(k, forcing, x, t) == 0.0)

@@ -1,5 +1,6 @@
 """Solver tests: convolution identities, Duhamel bounds, error paths."""
 
+import dataclasses
 import math
 import warnings
 
@@ -27,14 +28,14 @@ ERF_HALF = 0.5204998778130465
 class TestQuadratureConfig:
     def test_defaults(self):
         q = sv.QuadratureConfig()
-        assert q.hermite_order == 64 and q.time_panels == 48
-        assert q.truncation_radius == 12.0 and q.target_rel_err == 1e-8
+        assert dataclasses.asdict(q) == {"hermite_order": 64, "target_rel_err": 1e-8}
 
     def test_validation(self):
         with pytest.raises(DomainError):
             sv.QuadratureConfig(hermite_order=4)
-        with pytest.raises(DomainError):
-            sv.QuadratureConfig(truncation_radius=-1.0)
+        for target in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                sv.QuadratureConfig(target_rel_err=target)
 
 
 class TestSolveHomogeneous:
@@ -132,10 +133,9 @@ class TestSolveHomogeneous:
         xs = np.arange(-14.0, 14.0 + h / 2, h)
         mid = sv.solve_batch(k, phi, xs[:, None], np.full(xs.size, s_time))
         grid = GridData([xs[0]], [h], mid)
-        coarse_cfg = sv.QuadratureConfig(target_rel_err=1e-4)  # trapezoid estimate is O(h^2)-pessimistic
         for x in (0.0, 0.8):
             direct = sv.solve_homogeneous(k, phi, [x], t_time)
-            composed = sv.solve_homogeneous(k, grid, [x], t_time - s_time, coarse_cfg)
+            composed = sv.solve_homogeneous(k, grid, [x], t_time - s_time)
             assert composed == pytest.approx(direct, rel=1e-6)
 
 
@@ -185,11 +185,13 @@ class _CountingGaussian(_CountingSource):
 class TestPrunedRule:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_constant_data_gradient_is_exactly_zero(self, n):
+        # in the kernel frame (the wrapper hides the data kind) the +-xi pairs cancel exactly
         rng = np.random.default_rng(20 + n)
         k = random_kernel(rng, n)
         for t in (0.3, 2.0):
-            grad = sv.gradient_homogeneous(k, ConstantData(1.7, dim=n), rng.uniform(-2, 2, n), t)
-            assert np.all(grad == 0.0)
+            data = _CountingSource(ConstantData(1.7, dim=n))
+            grad = sv.gradient_homogeneous(k, data, rng.uniform(-2, 2, n), t)
+            assert np.all(grad == 0.0) and data.sizes
 
     @pytest.mark.parametrize("n, band", [(1, (0.2, 1.0)), (2, (0.2, 1.0)), (3, (0.2, 1.0)),
                                          (1, (2.0, 4.0)), (2, (2.0, 4.0))])
@@ -290,19 +292,13 @@ class TestGridSolve:
         return GridData([xs[0]], [h], np.exp(-(xs**2) / 2.0))
 
     def test_matches_closed_form(self):
-        grid = self._grid_1d()
-        cfg = sv.QuadratureConfig(target_rel_err=1e-4)
-        u = sv.solve_homogeneous(HEAT_1D, grid, [0.3], 0.7, cfg)
-        # phi = e^{-y^2/2} is a GaussianBump with spread 1/2
-        width = 0.5 + 0.7
-        exact = math.sqrt(0.5 / width) * math.exp(-(0.3**2) / (4 * width))
-        assert u == pytest.approx(exact, rel=1e-6)
+        # the exact convolution of the interpolant, cell by cell
+        from .test_references import grid_reference
 
-    def test_truncation_guard(self):
-        grid = self._grid_1d(h=0.05, half=6.0)
-        tight = sv.QuadratureConfig(truncation_radius=1.5, target_rel_err=1e-10)
-        with pytest.raises(UnsupportedData):
-            sv.solve_homogeneous(HEAT_1D, grid, [0.0], 0.5, tight)
+        grid = self._grid_1d()
+        u = sv.solve_homogeneous(HEAT_1D, grid, [0.3], 0.7)
+        u_ref = grid_reference(HEAT_1D, grid, [grid.values], [0.3], 0.7)[0]
+        assert abs(u - u_ref) <= sv.DEFAULT_QUADRATURE.target_rel_err * u_ref
 
     def test_dimension_guard(self):
         k4 = make_kernel(np.eye(4), np.zeros(4), 0.0)
@@ -366,8 +362,8 @@ class TestSolveNonhomogeneous:
 
     def test_coarse_in_space_pass_uses_each_routes_coarse_rule(self, monkeypatch):
         # the sigma nodes run each route's fine rule, and the coarse-in-space
-        # pass its coarse rule (the kink panels excepted); the Hermite order
-        # reaches only the kernel frame
+        # pass its coarse rule (the kink panels excepted; constant data has
+        # one closed form); the Hermite order reaches only the kernel frame
         used = []
         route = sv._route
 
@@ -384,7 +380,7 @@ class TestSolveNonhomogeneous:
         cases = [
             (BoxIndicator(lo=(-0.5,), hi=(0.7,)), {(8, 1), (12, 1)}),
             (GaussianBump(center=(0.0,), spread=0.8), {4, 8}),
-            (ConstantData(2.0), {48, 64}),
+            (ConstantData(2.0), {"closed form"}),
         ]
         for profile, keys in cases:
             used.clear()

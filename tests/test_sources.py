@@ -71,6 +71,17 @@ class TestPresets:
             BoxIndicator(lo=(1.0,), hi=(0.0,))
         with pytest.raises(DomainError):
             PolynomialGaussian(center=(0.0,), spread=1.0, powers=(-1,))
+        # NaN or infinite parameters; only box bounds may be infinite
+        for make in (lambda: GaussianBump(center=(math.nan,), spread=1.0),
+                     lambda: GaussianBump(center=(0.0,), spread=math.inf),
+                     lambda: PolynomialGaussian(center=(0.0,), spread=1.0, powers=(1,),
+                                                amp=math.inf),
+                     lambda: ConstantData(math.nan),
+                     lambda: BoxIndicator(lo=(math.nan,), hi=(1.0,)),
+                     lambda: BoxIndicator(lo=(0.0,), hi=(1.0,), amp=-math.inf)):
+            with pytest.raises(DomainError):
+                make()
+        assert BoxIndicator(lo=(-math.inf,), hi=(math.inf,)).sup_norm() == 1.0
 
 
 class TestGridData:
@@ -138,6 +149,9 @@ class TestGridData:
             GridData([0.0], [1.0], np.ones(1))
         with pytest.raises(DomainError):
             GridData([0.0, 0.0], [1.0, 1.0], np.ones(4))
+        for origin, spacing in ((math.nan, 1.0), (-math.inf, 1.0), (0.0, math.inf)):
+            with pytest.raises(DomainError):
+                GridData([origin], [spacing], np.ones(4))
 
 
 class TestGridFile:
