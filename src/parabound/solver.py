@@ -40,12 +40,13 @@ solver and for every sigma node of the Duhamel solver alike:
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
 behavior of the gradient integrand; composite Gauss-Legendre panels in
-sigma then converge spectrally. The error estimate adds a pass with half
-the time panels and one with every spatial rule at its coarse rung.
+sigma then converge spectrally. The integral is one more ladder of rules
+(_duhamel_pass): rung k doubles the sigma panels k times and runs every
+sigma node's spatial rule at rung k of its own ladder.
 
-Every route produces an error estimate (coarser rule comparison) and
-raises QuadratureFailure when it exceeds the configured target relative
-to the solution scale.
+Both solvers climb their ladder in one loop (_eval): each rung is
+compared with the one below it, and QuadratureFailure is raised when the
+estimate exceeds the configured target relative to the solution scale.
 """
 
 from __future__ import annotations
@@ -86,8 +87,9 @@ from .sources import (
 SOLVER_MAX_DIM = 3
 # Largest tensor rule (Hermite order^n nodes, or box and grid panel nodes) a solve may evaluate.
 _MAX_TENSOR_NODES = 2**21
-# Duhamel sigma panels at the first level; each further level doubles them
-_TIME_PANELS = 48
+# Duhamel sigma panels at rung 0; each of the _TIME_RUNGS - 1 further rungs doubles them
+_TIME_PANELS = 24
+_TIME_RUNGS = 4
 
 
 @dataclass(frozen=True)
@@ -130,7 +132,7 @@ def _check_solver_args(kernel: FundamentalSolution, x, t: float):
     return x, float(t)
 
 
-def _check_float_range(kernel, t, want_gradient=False):
+def _check_float_range(kernel, t, want_gradient):
     """Reject nonzero data where e^{ct} or the kernel's peak value exceeds float64.
 
     Every route multiplies by one of the two, so no float answer exists.
@@ -435,56 +437,12 @@ def _magnitude(v) -> float:
     return math.hypot(*np.atleast_1d(v))
 
 
-def _tolerance_scale(kernel, value, sup, t, want_gradient):
-    """Error-control scale: |value|, floored at 1e-3 of the bound e^{ct} sup."""
+def _tolerance_scale(value, bound) -> float:
+    """Error-control scale: |value|, floored at 1e-3 of the a priori bound when that is finite."""
     scale = _magnitude(value)
-    if not math.isfinite(sup) or sup == 0.0:
+    if not math.isfinite(bound):
         return scale
-    bound = math.exp(kernel.spec.reaction * t) * sup
-    if want_gradient:
-        bound /= math.sqrt(t)
     return max(scale, 1e-3 * bound)
-
-
-def _hom_eval(kernel, data, x, t, quad, want_gradient):
-    x, t = _check_solver_args(kernel, x, t)
-    if data.n != kernel.n:
-        raise DomainError(f"data dimension {data.n} != problem dimension {kernel.n}")
-    sup = data.sup_norm()
-    if sup == 0.0:
-        return np.zeros(kernel.n) if want_gradient else 0.0
-    _check_float_range(kernel, t, want_gradient)
-    rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
-    value, _ = rule(keys[0])
-    est = math.inf
-    for key in keys[1:]:
-        finer, dropped = rule(key)
-        est = _magnitude(finer - value) + dropped
-        value = finer
-        scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
-        if est <= quad.target_rel_err * scale:
-            break
-    if not (math.isfinite(est) and np.all(np.isfinite(value))):
-        raise QuadratureFailure(
-            f"spatial quadrature gave a non-finite value or error estimate ({est:.3e})"
-        )
-    scale = _tolerance_scale(kernel, value, sup, t, want_gradient)
-    if scale > 0.0 and est > quad.target_rel_err * scale:
-        raise QuadratureFailure(
-            f"spatial quadrature error estimate {est:.3e} exceeds "
-            f"{quad.target_rel_err:.1e} x scale {scale:.3e}"
-        )
-    return value
-
-
-def solve_homogeneous(kernel, data: SourceFunction, x, t, quad=DEFAULT_QUADRATURE) -> float:
-    """u(x, t) for the homogeneous problem with initial data phi."""
-    return _hom_eval(kernel, data, x, t, quad, want_gradient=False)
-
-
-def gradient_homogeneous(kernel, data: SourceFunction, x, t, quad=DEFAULT_QUADRATURE):
-    """grad u(x, t) for the homogeneous problem."""
-    return _hom_eval(kernel, data, x, t, quad, want_gradient=True)
 
 
 class _Slice(SourceFunction):
@@ -502,21 +460,18 @@ class _Slice(SourceFunction):
         return self.forcing.spatial_kinks(self.tau)
 
 
-def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, level, sup,
-                  coarse=False):
-    """Duhamel integral over sigma nodes on (0, sqrt t), t - tau = sigma^2.
+def _duhamel_pass(kernel, forcing, x, t, quad, want_gradient, sup, rung):
+    """One rung of the Duhamel ladder: the integral over sigma on (0, sqrt t), t - tau = sigma^2.
 
-    Every sigma node integrates in space by the rule its data picks
-    (_route): a TimeInvariantForcing hands over its profile, one route for
-    all sigma nodes; any other forcing its slice at each tau. The rule runs
-    at rung level + 1 of its ladder, clamped to the last rung. Returns the
-    integral, the summed bound of what the spatial rules leave out and,
-    with coarse, the same integral with every spatial rule one rung lower
-    (else 0). The kink panels, graded to 2^-44 of the window at each kink,
-    keep their fine rule there: their comparison would add 40% to a kinked
-    Duhamel solve.
+    The rung takes _TIME_PANELS 2^rung composite Gauss-Legendre panels of
+    order 8 in sigma. Every sigma node integrates in space by the rule its
+    data picks (_route), at the same rung of that rule's ladder, clamped to
+    its last rung: a TimeInvariantForcing hands over its profile, one route
+    for all sigma nodes; any other forcing its slice at each tau. Like any
+    rule of _route it returns the integral and the summed bound of what
+    the spatial rules leave out.
     """
-    sigmas, weights = panel_nodes(np.linspace(0.0, math.sqrt(t), n_panels + 1), 8)
+    sigmas, weights = panel_nodes(np.linspace(0.0, math.sqrt(t), _TIME_PANELS * 2**rung + 1), 8)
     weights = 2.0 * sigmas * weights
     times = sigmas * sigmas
     if isinstance(forcing, TimeInvariantForcing):
@@ -524,68 +479,83 @@ def _duhamel_pass(kernel, forcing, x, t, n_panels, quad, want_gradient, level, s
     else:
         groups = [(_Slice(forcing, t - s), times[i:i + 1], weights[i:i + 1])
                   for i, s in enumerate(times)]
-    acc = acc_coarse = np.zeros(kernel.n) if want_gradient else 0.0
+    acc = np.zeros(kernel.n) if want_gradient else 0.0
     dropped = 0.0
     for data, group_times, group_weights in groups:
         rule, keys = _route(kernel, data, x, group_times, quad, want_gradient, sup)
-        rung = min(level + 1, len(keys) - 1)
-        inner, bound = rule(keys[rung])
-        lower = inner
-        if coarse and keys is not _KINK_RULES:
-            lower = rule(keys[rung - 1])[0]
-        for w, value, value_lower, left_out in zip(group_weights, inner, lower, bound):
+        inner, bound = rule(keys[min(rung, len(keys) - 1)])
+        for w, value, left_out in zip(group_weights, inner, bound):
             acc = acc + w * value
-            acc_coarse = acc_coarse + w * value_lower
             dropped += w * left_out
-    return acc, (acc_coarse if coarse else 0.0), dropped
+    return acc, dropped
 
 
-def _nonhom_eval(kernel, forcing, x, t, quad, want_gradient):
+def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
+    """u(x, t) or grad u(x, t): climb the ladder of rules, each rung checked against the one below.
+
+    The homogeneous ladder is the spatial rule _route picks; the
+    nonhomogeneous one the Duhamel rungs. The scale floor is 1e-3 of the a
+    priori bound, e^{ct} sup|phi| or (e^{ct} - 1)/c sup|f| (t sup|f| for
+    c = 0), divided by sqrt(t) for gradients.
+    """
     x, t = _check_solver_args(kernel, x, t)
-    if forcing.n != kernel.n:
-        raise DomainError(f"forcing dimension {forcing.n} != problem dimension {kernel.n}")
-    sup = forcing.sup_norm(t)
+    if data.n != kernel.n:
+        raise DomainError(f"data dimension {data.n} != problem dimension {kernel.n}")
+    sup = data.sup_norm(t) if nonhom else data.sup_norm()
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
-    _check_float_range(kernel, t)
-    if kernel.spec.reaction != 0.0:
-        mass = (math.exp(kernel.spec.reaction * t) - 1.0) / kernel.spec.reaction
+    _check_float_range(kernel, t, want_gradient)
+    c = kernel.spec.reaction
+    if nonhom:
+        rule = partial(_duhamel_pass, kernel, data, x, t, quad, want_gradient, sup)
+        keys = range(_TIME_RUNGS)
+        bound = (math.expm1(c * t) / c if c else t) * sup
     else:
-        mass = t
-    value = est = None
-    panels = _TIME_PANELS
-    for level in range(3):
-        fine, coarse_s, dropped = _duhamel_pass(
-            kernel, forcing, x, t, panels, quad, want_gradient, level, sup, coarse=True
-        )
-        coarse_t, _, _ = _duhamel_pass(
-            kernel, forcing, x, t, max(4, panels // 2), quad, want_gradient, level, sup
-        )
-        est = _magnitude(fine - coarse_t) + _magnitude(fine - coarse_s) + dropped
-        value = fine
-        scale = max(
-            _magnitude(value),
-            1e-3 * abs(mass) * sup / (math.sqrt(t) if want_gradient else 1.0),
-        )
-        if est <= quad.target_rel_err * scale:
+        rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
+        bound = math.exp(c * t) * sup
+    if want_gradient:
+        bound /= math.sqrt(t)
+    value, _ = rule(keys[0])
+    est = math.inf
+    for key in keys[1:]:
+        finer, dropped = rule(key)
+        est = _magnitude(finer - value) + dropped
+        value = finer
+        if est <= quad.target_rel_err * _tolerance_scale(value, bound):
             break
-        panels *= 2
+    if not (math.isfinite(est) and np.all(np.isfinite(value))):
+        if math.isinf(bound) and math.isfinite(sup):
+            raise FloatOverflow("the a priori bound on the answer overflows float64")
+        raise QuadratureFailure(
+            f"quadrature gave a non-finite value or error estimate ({est:.3e})"
+        )
+    scale = _tolerance_scale(value, bound)
     if scale > 0.0 and est > quad.target_rel_err * scale:
         raise QuadratureFailure(
-            f"Duhamel quadrature error estimate {est:.3e} exceeds "
+            f"quadrature error estimate {est:.3e} exceeds "
             f"{quad.target_rel_err:.1e} x scale {scale:.3e}"
         )
     return value
 
 
+def solve_homogeneous(kernel, data: SourceFunction, x, t, quad=DEFAULT_QUADRATURE) -> float:
+    """u(x, t) for the homogeneous problem with initial data phi."""
+    return _eval(kernel, data, x, t, quad, want_gradient=False, nonhom=False)
+
+
+def gradient_homogeneous(kernel, data: SourceFunction, x, t, quad=DEFAULT_QUADRATURE):
+    """grad u(x, t) for the homogeneous problem."""
+    return _eval(kernel, data, x, t, quad, want_gradient=True, nonhom=False)
+
+
 def solve_nonhomogeneous(kernel, forcing: SpaceTimeSource, x, t, quad=DEFAULT_QUADRATURE) -> float:
     """u(x, t) for the nonhomogeneous problem with zero initial data."""
-    return _nonhom_eval(kernel, forcing, x, t, quad, want_gradient=False)
+    return _eval(kernel, forcing, x, t, quad, want_gradient=False, nonhom=True)
 
 
 def gradient_nonhomogeneous(kernel, forcing: SpaceTimeSource, x, t, quad=DEFAULT_QUADRATURE):
     """grad u(x, t) for the nonhomogeneous problem."""
-    return _nonhom_eval(kernel, forcing, x, t, quad, want_gradient=True)
+    return _eval(kernel, forcing, x, t, quad, want_gradient=True, nonhom=True)
 
 
 def solve_batch(kernel, data, points, times, quad=DEFAULT_QUADRATURE, jobs=None,

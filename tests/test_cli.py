@@ -185,6 +185,18 @@ class TestOverflow:
         assert "overflows float64" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("data", ["constant:value=1e300", "box:lo=-1,hi=1,amp=1e300"])
+    def test_solve_answer_beyond_float64(self, capsys, data):
+        # e^{ct} = e^700 and sup|phi| = 1e300 fit, their product does not
+        spec = json.dumps({"n": 1, "A": [[1]], "b": [0], "c": 10, "T": 80})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve", "--spec-json", spec, "--kind", "hom",
+                            "--data", data, "--points", "0,70"])
+        assert code == 2
+        assert "overflows float64" in capsys.readouterr().err
+
+
 class TestSolveCommand:
     def test_exit_2_beyond_horizon(self):
         spec = dict(SPEC_1D, T=1.0)

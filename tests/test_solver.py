@@ -360,36 +360,40 @@ class TestSolveNonhomogeneous:
             mass = (math.exp(c * t) - 1.0) / c if c != 0 else t
             assert abs(u) <= mass * amp * (1 + 1e-6)
 
-    def test_coarse_in_space_pass_uses_each_routes_coarse_rule(self, monkeypatch):
-        # the sigma nodes run each route's fine rule, and the coarse-in-space
-        # pass its coarse rule (the kink panels excepted; constant data has
-        # one closed form); the Hermite order reaches only the kernel frame
+    def test_duhamel_rung_k_runs_each_route_at_its_rung_k(self, monkeypatch):
+        # rung k of the Duhamel ladder has 8 x 24 x 2^k sigma nodes, each
+        # integrated at rung k of its route's ladder (constant data has one
+        # closed form); these cases stop at rung 1, and the Hermite order
+        # reaches only the kernel frame. A route over several times calls
+        # itself at each; only the calls _duhamel_pass makes are recorded.
         used = []
         route = sv._route
 
-        def recording(*args):
-            rule, keys = route(*args)
+        def recording(kernel, data, x, t, *rest):
+            rule, keys = route(kernel, data, x, t, *rest)
 
             def rule_recorded(key):
-                used.append(key)
+                if np.ndim(t):
+                    used.append((np.size(t), key))
                 return rule(key)
 
             return rule_recorded, keys
 
         monkeypatch.setattr(sv, "_route", recording)
         cases = [
-            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), {(8, 1), (12, 1)}),
-            (GaussianBump(center=(0.0,), spread=0.8), {4, 8}),
-            (ConstantData(2.0), {"closed form"}),
+            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), [(8, 1), (12, 1)]),
+            (GaussianBump(center=(0.0,), spread=0.8), [4, 8]),
+            (ConstantData(2.0), ["closed form"] * 2),
         ]
         for profile, keys in cases:
             used.clear()
             sv.solve_nonhomogeneous(HEAT_1D, TimeInvariantForcing(profile), [0.2], 0.4)
-            assert set(used) == keys
+            assert used == list(zip((192, 384), keys))
+        # a forcing that varies in time routes each sigma node on its own
         used.clear()
         target = ExtremalTarget(x0=(0.2,), t0=0.4, p=math.inf, direction=(1.0,), mollify=0.3)
         sv.solve_nonhomogeneous(HEAT_1D, extremal_forcing(HEAT_1D, target), [0.2], 0.4)
-        assert set(used) == {12}
+        assert used == [(1, 8)] * 192 + [(1, 12)] * 384
 
 
 class TestErrorPaths:
@@ -402,6 +406,22 @@ class TestErrorPaths:
             assert math.isfinite(sv.solve_homogeneous(k, box, [0.95], 0.707))
             with pytest.raises(FloatOverflow):
                 sv.gradient_homogeneous(k, box, [0.95], 0.707)
+            # the Duhamel gradient's last sigma nodes meet the same peak
+            with pytest.raises(FloatOverflow):
+                sv.gradient_nonhomogeneous(k, TimeInvariantForcing(box), [0.95], 0.707)
+
+    def test_unbounded_forcing_keeps_error_control(self):
+        # the finite-p extremal forcing grows without bound as tau -> t0, so
+        # sup|f| = inf and the scale is |grad u| alone; the uniform sigma
+        # panels stay about 3% short of the true |grad u| = C = 1.22572576,
+        # and their estimate, 8.2e-3, must fail the target
+        target = ExtremalTarget(x0=(0.0,), t0=0.5, p=4, direction=(1.0,))
+        forcing = extremal_forcing(HEAT_1D, target)
+        assert forcing.sup_norm(0.5) == math.inf
+        for tol in (1e-8, 1e-15):
+            with pytest.raises(QuadratureFailure, match="error estimate"):
+                sv.gradient_nonhomogeneous(HEAT_1D, forcing, [0.0], 0.5,
+                                           sv.QuadratureConfig(target_rel_err=tol))
 
     def test_low_start_order_escalates_past_four_rules(self):
         # kernel frame: orders 16/32/64/128 leave an estimate of 3e-8; the
