@@ -12,14 +12,22 @@ solver and for every sigma node of the Duhamel solver alike:
   integrates only the polynomial left over, exactly from order 4; orders
   4 and 8 are compared and doubled on a miss.
 - Constant data v takes the closed form u = v e^{ct}, grad u = 0.
-- Box data takes tensor composite Gauss-Legendre over the box clipped to
-  the kernel's window x + t b +- TRUNCATION_RADIUS sqrt(2 t A_jj), with
-  panels at most 2 sqrt(2 t A_jj) wide; axes the box does not clip
-  integrate out in closed form (Genz's separation of variables, J. Comput.
-  Graph. Stat. 1, 1992). Orders 12 and 8 on the same panels are compared,
-  then halved panels.
-- Grid data takes the same tensor rule on its multilinear interpolant
-  over the grid's support clipped to that window, with panel edges at the
+- Box data amp 1[lo, hi] gives u = e^{ct} amp P(lo <= Y <= hi) with
+  Y ~ N(x + t b, 2 t A). Axes whose window x_j + t b_j +-
+  TRUNCATION_RADIUS sqrt(2 t A_jj) lies inside the box integrate out; on
+  the axes the box clips, the last integrates in closed form (erfc)
+  against its normal law given the others (Genz's separation of
+  variables, J. Comput. Graph. Stat. 1, 1992), and the others take
+  tensor composite Gauss-Legendre over the box clipped to the window, on
+  panels at most 2 sqrt(2 t A_jj) wide, narrower where a strong
+  correlation narrows the integrand. grad u sums the box faces: the
+  density of Y_j at a face times the box probability of the other axes
+  given Y_j there. So n = 1 needs no quadrature, and at n = 2 u is a 1-D
+  rule and grad u closed form; a closed form is computed once per solve.
+  Orders 12 and 8 on the same panels are compared, then halved panels.
+- Grid data takes tensor composite Gauss-Legendre on its multilinear
+  interpolant over the grid's support clipped to the kernel's window,
+  with panels at most 2 sqrt(2 t A_jj) wide and panel edges at the
   grid lines, so each panel lies in one cell. Orders climb from 1 (the
   midpoint rule) to 12, each compared with the one before.
 - n = 1 data with kinks (the extremal |.|^q profiles) takes composite
@@ -64,8 +72,8 @@ from .errors import (
     QuadratureFailure,
     UnsupportedData,
 )
-from .kernel import FundamentalSolution, ProblemSpec
-from .mathcore import LOG_FLOAT_MAX, SpdMatrix, spectral_norm_inv_sqrt
+from .kernel import FundamentalSolution
+from .mathcore import LOG_FLOAT_MAX, spectral_norm_inv_sqrt
 from .quadrature import (
     TRUNCATION_RADIUS,
     hermite_rule,
@@ -262,36 +270,19 @@ def _clip_to_window(kernel, x, t, lo, hi):
     return lo, hi, sigma, ((lo > mean - reach) | (hi < mean + reach)).nonzero()[0]
 
 
-def _box_window(kernel, box, x, t):
-    """(kernel, cut, breaks, sigma): the box clipped to the kernel's window, on the axes it clips.
-
-    An axis whose window lies inside the box integrates out exactly (a
-    Gaussian's marginal is Gaussian), so the kernel is that of the marginal
-    problem on the clipped axes cut; None when the intersection is empty.
-    """
-    clipped = _clip_to_window(kernel, x, t, box.lo, box.hi)
-    if clipped is None:
-        return None
-    lo, hi, sigma, cut = clipped
-    if 0 < cut.size < kernel.n:
-        spec = kernel.spec
-        kernel = FundamentalSolution(ProblemSpec(SpdMatrix(spec.diffusion.entries[np.ix_(cut, cut)]),
-                                                 spec.drift[cut], spec.reaction, spec.horizon))
-    return kernel, cut, np.array([lo[cut], hi[cut]]).T, sigma[cut]
-
-
 def _tensor_rule(breaks, sigma, rule):
     """Tensor composite Gauss-Legendre nodes (m, k) and weights over the box the breaks span.
 
     rule = (order, split): on axis j each interval between breaks is cut
-    into as many equal panels as keep the widest at most 2 sigma_j / split.
-    A rule over _MAX_TENSOR_NODES nodes raises QuadratureFailure.
+    into as many equal panels as keep the widest at most 2 sigma_j, and
+    each of those into split, so a finer split always adds nodes. A rule
+    over _MAX_TENSOR_NODES nodes raises QuadratureFailure.
     """
     order, split = rule
     edges = []
     for cuts, sd in zip(breaks, sigma):
         lengths = cuts[1:] - cuts[:-1]
-        count = math.ceil(split * float(lengths.max()) / (2.0 * sd))
+        count = split * math.ceil(float(lengths.max()) / (2.0 * sd))
         # start + k * step in each interval, as np.linspace computes its points
         inner = (lengths / count)[:, None] * np.arange(count) + cuts[:-1, None]
         edges.append(np.concatenate((inner.ravel(), cuts[-1:])))
@@ -303,26 +294,169 @@ def _tensor_rule(breaks, sigma, rule):
     return _lattice([nodes for nodes, _ in axes]), weights
 
 
-def _box_pass(kernel, box, x, t, window, rule, want_gradient):
-    """Tensor composite Gauss-Legendre over the clipped box (see _box_window).
+# math.erfc elementwise: numpy has no erfc, and scipy stays out of the package's import
+_erfc = np.frompyfunc(math.erfc, 1, 1)
+_SQRT_HALF = math.sqrt(0.5)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-    An empty intersection gives exactly 0, a box that clips no axis
-    e^{ct} amp, and the gradient has no component along the axes the box
-    does not clip.
+
+def _normal_mass(a, b):
+    """P(a < Z < b) for a standard normal Z, elementwise; a and b may be infinite.
+
+    (erfc(a / sqrt 2) - erfc(b / sqrt 2)) / 2, with the interval reflected
+    to (-b, -a) when it lies mostly below 0, so a mass far out in either
+    tail is a difference of upper tails and keeps its relative accuracy.
     """
-    if window is None:
-        return (np.zeros(kernel.n) if want_gradient else 0.0), 0.0
-    sub, cut, breaks, sigma = window
-    if cut.size == 0:
-        return _constant_pass(kernel, box.amp, t, rule, want_gradient)
-    args, weights = _tensor_rule(breaks, sigma, rule)
-    # x - y over the lattice, in place: the lattice can hold millions of nodes
-    np.subtract(x[cut], args, out=args)
+    scale = np.where(b < -a, -_SQRT_HALF, _SQRT_HALF)
+    return np.copysign(0.5, scale) * np.asarray(_erfc(a * scale) - _erfc(b * scale), dtype=float)
+
+
+def _normal_density(v, mean, sd):
+    """The N(mean, sd^2) density at v, elementwise; 0 at an infinite v."""
+    z = (v - mean) / sd
+    return np.exp(-0.5 * z * z) / (_SQRT_2PI * sd)
+
+
+def _box_1d(kernel, box, x, t, want_gradient):
+    """n = 1 box data in closed form, at one kernel time t or an array of them.
+
+    u = e^{ct} amp P(lo < Y < hi) and du/dx = e^{ct} amp (N(lo) - N(hi)),
+    with Y ~ N(x + t b, 2 t a) and N its density.
+    """
+    mean = x[0] + t * kernel.spec.drift[0]
+    sd = np.sqrt(2.0 * t * kernel.spec.diffusion.entries[0, 0])
+    (lo,), (hi,) = box.lo, box.hi
     if want_gradient:
-        out = np.zeros(kernel.n)
-        out[cut] = box.amp * (weights @ sub.gradient(args, t))
-        return out, 0.0
-    return box.amp * float(weights @ sub.value(args, t)), 0.0
+        part = _normal_density(lo, mean, sd) - _normal_density(hi, mean, sd)
+    else:
+        part = _normal_mass((lo - mean) / sd, (hi - mean) / sd)
+    if np.ndim(t):
+        out = box.amp * np.exp(kernel.spec.reaction * t) * part
+        return (out[:, None] if want_gradient else out), np.zeros(np.size(t))
+    out = box.amp * (math.exp(kernel.spec.reaction * t) * float(part))
+    return (np.array([out]) if want_gradient else out), 0.0
+
+
+def _box_mass(lo, hi, cov):
+    """P(lo <= Y <= hi) for Y ~ N(mean, cov) on d <= 3 axes, as mass(means, rule) over rows of means.
+
+    The last axis integrates in closed form against its law given the
+    others (Genz, J. Comput. Graph. Stat. 1, 1992): with cov = L L^T and
+    y = mean + L z, it is normal with mean mean_d + L_{d,<d} z_{<d} and
+    standard deviation L_dd. The other axes take _tensor_rule(rule) over
+    [lo, hi] clipped to mean +- TRUNCATION_RADIUS sd, with panels at most
+    two widths of the integrand wide on each axis j: the sd of y_j given
+    the other quadrature axes, or the width L_dd / |d mean_d / d y_j| of the
+    closed-form axis' transition if that is narrower (strong correlation).
+    d <= 1 needs no rule. What does not depend on the means or the rule is
+    computed once, here.
+    """
+    d = cov.shape[0]
+    if d == 0:
+        return lambda means, rule: np.ones(len(means))
+    if d == 1:
+        sd = math.sqrt(cov[0, 0])
+        return lambda means, rule: _normal_mass((lo[0] - means[:, 0]) / sd, (hi[0] - means[:, 0]) / sd)
+    chol = np.linalg.cholesky(cov)
+    cond_sd = chol[-1, -1]
+    whiten = np.linalg.inv(chol[:-1, :-1]).T  # y_<d - mean_<d -> z_<d
+    slope = whiten @ chol[-1, :-1]
+    width = 1.0 / np.maximum(np.linalg.norm(whiten, axis=1), np.abs(slope) / cond_sd)
+    norm = _SQRT_2PI ** (d - 1) * float(np.prod(chol.diagonal()[:-1]))
+    reach = TRUNCATION_RADIUS * np.sqrt(cov.diagonal()[:-1])
+
+    def mass(means, rule):
+        # one rule for all rows, over the union of their windows
+        start = np.maximum(lo[:-1], means[:, :-1].min(0) - reach)
+        stop = np.minimum(hi[:-1], means[:, :-1].max(0) + reach)
+        if (stop <= start).any():
+            return np.zeros(len(means))
+        nodes, weights = _tensor_rule(np.array([start, stop]).T, width, rule)
+        z = (nodes - means[:, None, :-1]) @ whiten
+        cond_mean = means[:, -1:] + z @ chol[-1, :-1]
+        inner = _normal_mass((lo[-1] - cond_mean) / cond_sd, (hi[-1] - cond_mean) / cond_sd)
+        return (np.exp(-0.5 * np.einsum("fij,fij->fi", z, z)) * inner) @ weights / norm
+
+    return mass
+
+
+def _box_faces(lo, hi, mean, cov):
+    """The gradient of P(lo <= Y <= hi), Y ~ N(mean, cov), in mean, as a function of the rule.
+
+    By the divergence theorem component j is N_j(lo_j) M_j(lo_j) -
+    N_j(hi_j) M_j(hi_j): N_j is the density of Y_j and M_j(v) the box mass
+    of the other axes given Y_j = v (_box_mass, one axis fewer). Faces
+    beyond mean_j +- TRUNCATION_RADIUS sd_j add nothing. With d <= 2 axes
+    every M_j is closed form, and the gradient is computed here, once.
+    """
+    d = mean.size
+    sd = np.sqrt(cov.diagonal())
+    bounds = np.array([lo, hi])  # row 0 the lo faces, row 1 the hi faces
+    real = np.abs(bounds - mean) < TRUNCATION_RADIUS * sd
+    faces = np.where(real, bounds, mean)  # a face that adds nothing stands in at the mean
+    weights = np.where(real, _normal_density(faces, mean, sd), 0.0) * [[1.0], [-1.0]]
+    if d <= 2:
+        mass = 1.0
+        if d == 2:
+            # the other axis given Y_j = v: mean mean_o + cov_oj (v - mean_j) / cov_jj,
+            # variance cov_oo - cov_oj^2 / cov_jj
+            other = mean[::-1] + cov[0, 1] * (faces - mean) / cov.diagonal()
+            cond_sd = np.sqrt(cov.diagonal()[::-1] - cov[0, 1] ** 2 / cov.diagonal())
+            mass = _normal_mass((lo[::-1] - other) / cond_sd, (hi[::-1] - other) / cond_sd)
+        grad = (weights * mass).sum(0)
+        return lambda rule: grad
+    parts = []
+    for j in range(d):
+        rest, keep = np.arange(d) != j, real[:, j]
+        slope = cov[j] / cov[j, j]
+        cond_means = (mean + np.outer(faces[keep, j] - mean[j], slope))[:, rest]
+        cond_cov = (cov - np.outer(slope, cov[j]))[rest][:, rest]
+        parts.append((j, weights[keep, j], cond_means, _box_mass(lo[rest], hi[rest], cond_cov)))
+
+    def gradient(rule):
+        out = np.zeros(d)
+        for j, face_weights, cond_means, mass in parts:
+            out[j] = face_weights @ mass(cond_means, rule)
+        return out
+
+    return gradient
+
+
+def _box_route(kernel, box, x, t, want_gradient):
+    """(rule, keys) of box data at one kernel time, n >= 2: e^{ct} amp P(lo <= Y <= hi).
+
+    Y ~ N(x + t b, 2 t A). An axis whose window lies inside the box
+    integrates out exactly (a Gaussian's marginal is Gaussian), so u is
+    _box_mass and grad u _box_faces of the axes the box clips, and the
+    gradient has no component along the others. An empty intersection
+    gives exactly 0. A probability that needs no rule (u of a box that
+    clips at most one axis, grad u of one that clips at most two) is
+    computed once and takes _CLOSED_FORM.
+    """
+    clipped = _clip_to_window(kernel, x, t, box.lo, box.hi)
+    if clipped is None:
+        return _closed(((np.zeros(kernel.n) if want_gradient else 0.0), 0.0))
+    cut = clipped[3]
+    cov = 2.0 * t * kernel.spec.diffusion.entries[cut][:, cut]
+    mean = (x + t * kernel.spec.drift)[cut]
+    lo, hi = np.asarray(box.lo)[cut], np.asarray(box.hi)[cut]
+    front = math.exp(kernel.spec.reaction * t)
+    if want_gradient:
+        faces = _box_faces(lo, hi, mean, cov)
+
+        def rule(key):
+            out = np.zeros(kernel.n)
+            out[cut] = box.amp * (front * faces(key))
+            return out, 0.0
+    else:
+        mass = _box_mass(lo, hi, cov)
+
+        def rule(key):
+            return box.amp * (front * float(mass(mean[None], key)[0])), 0.0
+
+    if cut.size <= 1 + want_gradient:
+        return _closed(rule(None))
+    return rule, _BOX_RULES
 
 
 def _grid_pass(kernel, grid, x, t, order, want_gradient):
@@ -379,7 +513,7 @@ def _coarse_order(order: int) -> int:
     return max(order // 2, order - 16)
 
 
-# (Gauss-Legendre order, panels per 2 sigma_j) of the box rule, coarse first
+# (Gauss-Legendre order, split of every panel) of the box rule, coarse first
 _BOX_RULES = ((8, 1), (12, 1), (12, 2))
 # Gauss-Legendre orders of the kink panels, coarse first
 _KINK_RULES = (8, 12)
@@ -389,6 +523,11 @@ _GRID_ORDERS = tuple(range(1, 13))
 _CLOSED_FORM = ("closed form",) * 2
 
 
+def _closed(result):
+    """A closed form as a rule of _route, computed once: every key gives result."""
+    return (lambda key: result), _CLOSED_FORM
+
+
 def _route(kernel, data, x, t, quad, want_gradient, sup):
     """The rule for the integral of G(x - y, t) phi(y) over y that the data picks.
 
@@ -396,9 +535,13 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
     the rule leaves out; keys[0] names the coarse comparison rule and
     keys[1:] the ladder an unmet error estimate climbs. Data with a
     Gaussian factor takes the product frame, constant data its closed
-    form, box data the box rule, grid data its cells, n = 1 data with
-    kinks the kink panels and everything else the kernel frame. An array t
-    (several kernel times) gives results stacked by time.
+    form, box data its Gaussian box probability (_box_1d, _box_route), grid
+    data its cells, n = 1 data with kinks the kink panels and everything
+    else the kernel frame. A box probability that needs no rule (n = 1, a
+    box that clips at most one axis, the gradient of one that clips two)
+    is computed here, once, under the key _CLOSED_FORM. An array t
+    (several kernel times) gives results stacked by time; the product
+    frame, constant data and n = 1 boxes take all times in one call.
     """
     factor = data.gaussian_factor()
     if factor is not None:
@@ -412,6 +555,8 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
     if isinstance(data, ConstantData):
         return partial(_constant_pass, kernel, data.value, t,
                        want_gradient=want_gradient), _CLOSED_FORM
+    if isinstance(data, BoxIndicator) and data.n == 1:
+        return _closed(_box_1d(kernel, data, x, t, want_gradient))
     if np.ndim(t):
         routes = [_route(kernel, data, x, s, quad, want_gradient, sup) for s in t]
 
@@ -419,10 +564,11 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
             parts = [rule(key) for rule, _ in routes]
             return [part[0] for part in parts], [part[1] for part in parts]
 
-        return stacked, routes[0][1]
+        # a closed form takes any key, so the ladder is that of the other times
+        keys = next((keys for _, keys in routes if keys is not _CLOSED_FORM), _CLOSED_FORM)
+        return stacked, keys
     if isinstance(data, BoxIndicator):
-        return partial(_box_pass, kernel, data, x, t, _box_window(kernel, data, x, t),
-                       want_gradient=want_gradient), _BOX_RULES
+        return _box_route(kernel, data, x, t, want_gradient)
     if isinstance(data, GridData):
         return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
     if kernel.n == 1 and data.kinks_1d():
@@ -494,9 +640,11 @@ def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
     """u(x, t) or grad u(x, t): climb the ladder of rules, each rung checked against the one below.
 
     The homogeneous ladder is the spatial rule _route picks; the
-    nonhomogeneous one the Duhamel rungs. The scale floor is 1e-3 of the a
-    priori bound, e^{ct} sup|phi| or (e^{ct} - 1)/c sup|f| (t sup|f| for
-    c = 0), divided by sqrt(t) for gradients.
+    nonhomogeneous one the Duhamel rungs, for a bounded forcing only (an
+    unbounded one raises QuadratureFailure before any quadrature). The
+    scale floor is 1e-3 of the a priori bound, e^{ct} sup|phi| or
+    (e^{ct} - 1)/c sup|f| (t sup|f| for c = 0), divided by sqrt(t) for
+    gradients.
     """
     x, t = _check_solver_args(kernel, x, t)
     if data.n != kernel.n:
@@ -504,6 +652,9 @@ def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
     sup = data.sup_norm(t) if nonhom else data.sup_norm()
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
+    if nonhom and sup == math.inf:
+        # the consecutive-rung estimate of the sigma rule assumes a bounded integrand
+        raise QuadratureFailure("the Duhamel rule needs a bounded forcing; sup|f| is infinite")
     _check_float_range(kernel, t, want_gradient)
     c = kernel.spec.reaction
     if nonhom:

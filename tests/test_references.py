@@ -1,12 +1,14 @@
 """Solver answers against references computed without the solver's rules.
 
-Polygauss data against Isserlis moments of the product Gaussian, box data
+Polygauss data against Isserlis moments of the product Gaussian; box data
 against erf of the (conditional) normal law, with gradients from the face
-integrals of the kernel, Gaussian data far into the wide-kernel regime
-against its closed form, grid data against erf and exp per linear cell of
-its interpolant, and constant data against v e^{ct}. Every comparison uses
-the solver's own error contract: target_rel_err times max(|reference|,
-1e-3 of the bound e^{ct} sup|data|, divided by sqrt(t) for gradients).
+integrals of the kernel, and at n = 3 against a full tensor rule of the
+density or products of erf, neither of which conditions an axis on the
+others; Gaussian data far into the wide-kernel regime against its closed
+form; grid data against erf and exp per linear cell of its interpolant;
+and constant data against v e^{ct}. Every comparison uses the solver's own
+error contract: target_rel_err times max(|reference|, 1e-3 of the bound
+e^{ct} sup|data|, divided by sqrt(t) for gradients).
 """
 
 import math
@@ -126,6 +128,34 @@ def box_diagonal_reference(kernel, box, x, t):
     return front * float(np.prod(probs)), front * grad
 
 
+def box_tensor_reference(kernel, box, x, t, per_sd=2, order=12):
+    """u and grad u for box data and any SPD A, by a full tensor rule of the density.
+
+    Gauss-Legendre of the given order on panels at most sd_j / per_sd wide
+    over the box clipped to m_j +- 12 sd_j, m = x + t b, sd_j^2 = 2 t A_jj;
+    grad u integrates grad_m N(y; m, 2tA) = (2tA)^{-1}(y - m) N over the
+    same nodes. Nothing is conditioned or integrated in closed form.
+    """
+    cov = 2.0 * t * kernel.spec.diffusion.entries
+    m = np.asarray(x) + t * kernel.spec.drift
+    sd = np.sqrt(np.diag(cov))
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    axes, w = [], np.ones(1)
+    for lo, hi, mj, sj in zip(box.lo, box.hi, m, sd):
+        a, b = max(lo, mj - 12.0 * sj), min(hi, mj + 12.0 * sj)
+        edges = np.linspace(a, b, math.ceil(per_sd * (b - a) / sj) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        axes.append((edges[:-1, None] + half * (nodes + 1.0)).ravel())
+        w = np.multiply.outer(w, (half * weights).ravel())
+    y = np.stack(np.meshgrid(*axes, indexing="ij"), -1).reshape(-1, len(m))
+    d = y - m
+    pd = d @ np.linalg.inv(cov)
+    dens = w.reshape(-1) * np.exp(-0.5 * np.einsum("ij,ij->i", pd, d))
+    dens /= math.sqrt((2.0 * math.pi) ** len(m) * np.linalg.det(cov))
+    front = math.exp(kernel.spec.reaction * t) * box.amp
+    return front * float(dens.sum()), front * (dens @ pd)
+
+
 def solve_both(kernel, data, x, t):
     return sv.solve_homogeneous(kernel, data, x, t), sv.gradient_homogeneous(kernel, data, x, t)
 
@@ -175,6 +205,21 @@ def test_box_2d_nondiagonal_matches_conditional_erf():
                                        math.exp(k.spec.reaction * t) * box.amp, t)
 
 
+@pytest.mark.parametrize("rho", [0.99, 0.999])
+def test_box_2d_strong_correlation(rho):
+    # y_2 given y_1 changes within a small fraction of sd_1, so the
+    # quadrature panels along y_1 must be narrower than 2 sd_1; the box is
+    # at most half an sd_1 wide at t = 1, where halving a 2 sd_1 panel
+    # must still change the rule
+    k = make_kernel([[1.0, rho], [rho, 1.0]], [0.0, 0.0], 0.0)
+    box = BoxIndicator(lo=(-0.5, -0.5), hi=(0.5, 0.5))
+    for t in (0.01, 0.1, 1.0):
+        for x in ([0.2, 0.1], [0.5, -0.5], [0.6, 0.4]):
+            u, grad = solve_both(k, box, x, t)
+            u_ref, grad_ref = box2_reference(k, box, x, t)
+            assert_within_contract(u, grad, u_ref, grad_ref, 1.0, t)
+
+
 def test_box_2d_one_axis_inside_the_window():
     # the box spans the kernel's whole window along y_2: that axis
     # integrates out and only y_1 takes the panel rule
@@ -198,6 +243,41 @@ def test_box_3d_diagonal_with_drift_matches_erf_products():
                 u, grad = solve_both(k, box, x, t)
                 u_ref, grad_ref = box_diagonal_reference(k, box, x, t)
                 assert_within_contract(u, grad, u_ref, grad_ref, math.exp(0.35 * t) * 1.7, t)
+
+
+def test_box_3d_nondiagonal_matches_full_tensor():
+    k = make_kernel([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]], [0.5, -1.0, 0.3], -0.25)
+    box = BoxIndicator(lo=(-0.5, -0.4, -0.6), hi=(0.5, 0.3, 0.7), amp=1.3)
+    # inside, next to a corner, outside, and under a kernel wider than the box
+    for x, t in [([0.2, 0.2, 0.2], 0.05), ([0.45, -0.1, 0.6], 0.02),
+                 ([0.9, 0.5, -0.8], 0.3), ([0.0, 0.0, 0.0], 1.0)]:
+        x = np.asarray(x) - t * k.spec.drift
+        u, grad = solve_both(k, box, x, t)
+        u_ref, grad_ref = box_tensor_reference(k, box, x, t)
+        assert_within_contract(u, grad, u_ref, grad_ref, math.exp(-0.25 * t) * 1.3, t)
+
+
+def test_box_3d_strong_correlation_matches_full_tensor():
+    k = make_kernel([[1.0, 0.9, 0.8], [0.9, 1.0, 0.9], [0.8, 0.9, 1.0]], [0.3, -0.2, 0.1], -0.3)
+    box = BoxIndicator(lo=(-0.5, -0.4, -0.6), hi=(0.5, 0.6, 0.4))
+    for t in (0.3, 1.0):
+        for x in ([0.2, 0.1, 0.3], [0.5, -0.5, 0.5]):
+            u, grad = solve_both(k, box, x, t)
+            u_ref, grad_ref = box_tensor_reference(k, box, x, t)
+            assert_within_contract(u, grad, u_ref, grad_ref, math.exp(-0.3 * t), t)
+
+
+def test_box_3d_inside_the_window_up_to_its_edge():
+    # the box reaches 11.5 of the kernel's 12 standard deviations on every
+    # axis, so the rule meets the box faces at the window's edge on all three
+    t = 0.01
+    half = 11.5 * math.sqrt(2.0 * t)
+    k = make_kernel(np.eye(3), np.zeros(3), 0.0)
+    box = BoxIndicator(lo=(-half,) * 3, hi=(half,) * 3)
+    u, grad = solve_both(k, box, np.zeros(3), t)
+    u_ref, grad_ref = box_diagonal_reference(k, box, np.zeros(3), t)
+    assert abs(u - 1.0) <= TARGET
+    assert_within_contract(u, grad, u_ref, grad_ref, 1.0, t)
 
 
 def test_box_1d_next_to_an_edge_at_small_time():
@@ -292,6 +372,15 @@ def test_box_forcing_1d_near_an_edge():
     for t, edge, offset in [(0.5, 0.5, -0.15), (1.0, 0.5, 0.2), (0.2, -1.0, 0.25), (2.0, -1.0, -0.3)]:
         x = [edge + offset * math.sqrt(2.0 * a * t)]
         assert_duhamel_within_contract(k, box, box_diagonal_reference, x, t)
+
+
+@pytest.mark.parametrize("t", [0.05, 0.7])
+def test_box_forcing_3d_diagonal_matches_time_integral_of_erf_products(t):
+    # the sigma sweep passes the s at which the kernel window's edges meet
+    # the box faces on all three axes at once
+    k = make_kernel(np.eye(3), [0.5, -1.0, 0.3], -0.25)
+    box = BoxIndicator(lo=(-0.5,) * 3, hi=(0.5,) * 3)
+    assert_duhamel_within_contract(k, box, box_diagonal_reference, np.full(3, 0.2), t)
 
 
 def linear_cells_moments(values, origin, h, mean, sd):

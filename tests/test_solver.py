@@ -9,6 +9,7 @@ import pytest
 
 from parabound import solver as sv
 from parabound.errors import DomainError, FloatOverflow, QuadratureFailure, UnsupportedData
+from parabound.kernel import FundamentalSolution
 from parabound.verify import ExtremalTarget, extremal_forcing
 from parabound.sources import (
     BoxIndicator,
@@ -82,6 +83,27 @@ class TestSolveHomogeneous:
     def test_box_indicator_erf_value(self):
         u = sv.solve_homogeneous(HEAT_1D, BoxIndicator(lo=(-1.0,), hi=(1.0,)), [0.0], 1.0)
         assert u == pytest.approx(ERF_HALF, rel=1e-10)
+
+    def test_box_solve_builds_no_kernel(self, monkeypatch):
+        # the box route works on the normal law of y restricted to the axes
+        # the box clips, not on the kernel of a marginal problem
+        kernels = [make_kernel([[1.0, 0.6], [0.6, 2.0]], [0.5, -1.0], -0.25),
+                   make_kernel([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]],
+                               [0.5, -1.0, 0.3], -0.25)]
+
+        def refuse(self, spec):
+            raise AssertionError("a box solve built a FundamentalSolution")
+
+        monkeypatch.setattr(FundamentalSolution, "__init__", refuse)
+        for k in kernels:
+            n, x = k.n, np.full(k.n, 0.2)
+            # a box that clips every axis, and one that clips the first only
+            for box in (BoxIndicator(lo=(-0.5,) * n, hi=(0.5,) * n),
+                        BoxIndicator(lo=(-0.5,) + (-50.0,) * (n - 1), hi=(0.5,) + (50.0,) * (n - 1))):
+                assert math.isfinite(sv.solve_homogeneous(k, box, x, 0.3))
+                assert np.all(np.isfinite(sv.gradient_homogeneous(k, box, x, 0.3)))
+        forcing = TimeInvariantForcing(BoxIndicator(lo=(-0.5, -50.0), hi=(0.5, 50.0)))
+        assert math.isfinite(sv.solve_nonhomogeneous(kernels[0], forcing, [0.2, 0.2], 0.3))
 
     def test_weak_maximum_bound_random(self):
         rng = np.random.default_rng(42)
@@ -362,10 +384,11 @@ class TestSolveNonhomogeneous:
 
     def test_duhamel_rung_k_runs_each_route_at_its_rung_k(self, monkeypatch):
         # rung k of the Duhamel ladder has 8 x 24 x 2^k sigma nodes, each
-        # integrated at rung k of its route's ladder (constant data has one
-        # closed form); these cases stop at rung 1, and the Hermite order
-        # reaches only the kernel frame. A route over several times calls
-        # itself at each; only the calls _duhamel_pass makes are recorded.
+        # integrated at rung k of its route's ladder (constant and n = 1 box
+        # data have one closed form); these cases stop at rung 1, and the
+        # Hermite order reaches only the kernel frame. A route over several
+        # times calls itself at each; only the calls _duhamel_pass makes are
+        # recorded.
         used = []
         route = sv._route
 
@@ -381,7 +404,7 @@ class TestSolveNonhomogeneous:
 
         monkeypatch.setattr(sv, "_route", recording)
         cases = [
-            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), [(8, 1), (12, 1)]),
+            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), ["closed form"] * 2),
             (GaussianBump(center=(0.0,), spread=0.8), [4, 8]),
             (ConstantData(2.0), ["closed form"] * 2),
         ]
@@ -412,16 +435,19 @@ class TestErrorPaths:
 
     def test_unbounded_forcing_keeps_error_control(self):
         # the finite-p extremal forcing grows without bound as tau -> t0, so
-        # sup|f| = inf and the scale is |grad u| alone; the uniform sigma
-        # panels stay about 3% short of the true |grad u| = C = 1.22572576,
-        # and their estimate, 8.2e-3, must fail the target
+        # sup|f| = inf; the uniform sigma panels stay about 3% short of the
+        # true |grad u| = C = 1.22572576, while their consecutive-rung
+        # estimates, 1.3e-2 down to 8.2e-3, pass a target of 1e-1 or 1e-2;
+        # the solver rejects such a forcing before any quadrature
         target = ExtremalTarget(x0=(0.0,), t0=0.5, p=4, direction=(1.0,))
         forcing = extremal_forcing(HEAT_1D, target)
         assert forcing.sup_norm(0.5) == math.inf
-        for tol in (1e-8, 1e-15):
-            with pytest.raises(QuadratureFailure, match="error estimate"):
-                sv.gradient_nonhomogeneous(HEAT_1D, forcing, [0.0], 0.5,
-                                           sv.QuadratureConfig(target_rel_err=tol))
+        for tol in (1e-1, 1e-2, 1e-8, 1e-15):
+            quad = sv.QuadratureConfig(target_rel_err=tol)
+            with pytest.raises(QuadratureFailure, match="bounded forcing"):
+                sv.gradient_nonhomogeneous(HEAT_1D, forcing, [0.0], 0.5, quad)
+            with pytest.raises(QuadratureFailure, match="bounded forcing"):
+                sv.solve_nonhomogeneous(HEAT_1D, forcing, [0.0], 0.5, quad)
 
     def test_low_start_order_escalates_past_four_rules(self):
         # kernel frame: orders 16/32/64/128 leave an estimate of 3e-8; the
@@ -470,7 +496,7 @@ class TestErrorPaths:
             warnings.simplefilter("error")
             with pytest.raises(QuadratureFailure):
                 sv.solve_nonhomogeneous(HEAT_1D, gauss, [0.0], 1.0, quad)
-        # the kink-panel route does not use the Hermite order
+        # the box route does not use the Hermite order
         box = TimeInvariantForcing(BoxIndicator(lo=(-1.0,), hi=(1.0,)))
         assert math.isfinite(sv.solve_nonhomogeneous(HEAT_1D, box, [0.0], 1.0, quad))
 
