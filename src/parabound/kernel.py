@@ -111,6 +111,21 @@ class FundamentalSolution:
             raise NonpositiveTime(f"kernel evaluation requires t > 0, got {t}")
         return float(t)
 
+    def _check_times(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        bad = ~(t > 0.0)
+        if bad.any():
+            raise NonpositiveTime(f"kernel evaluation requires t > 0, got {t[bad][0]}")
+        return t
+
+    def _rows(self, x, t):
+        """Points of shape (m, n) and an array of m times, one per row, checked."""
+        t = self._check_times(t)
+        pts = np.asarray(x, dtype=float)
+        if t.ndim != 1 or pts.shape != (t.size, self.n):
+            raise DomainError(f"points of shape {pts.shape} do not match {t.size} times, n = {self.n}")
+        return pts, t
+
     def _points(self, x):
         pts = np.asarray(x, dtype=float)
         single = pts.ndim == 1
@@ -132,7 +147,18 @@ class FundamentalSolution:
         return xi[0] if single else xi
 
     def log_prefactor(self, t: float) -> float:
-        """log of e^{ct} / ((2 sqrt(pi t))^n det A^{1/2})."""
+        """log of e^{ct} / ((2 sqrt(pi t))^n det A^{1/2}); elementwise for a 1-D array t.
+
+        An array takes the scalar value once per run of equal times, so a
+        batch of rows that share a time costs one scalar call and matches
+        the scalar calls bitwise.
+        """
+        if np.ndim(t):
+            t = self._check_times(t)
+            starts = np.flatnonzero(t[1:] != t[:-1]) + 1
+            first = np.concatenate(([0], starts))
+            runs = [self.log_prefactor(s) for s in t[first].tolist()]
+            return np.repeat(runs, np.concatenate((starts, [t.size])) - first)
         t = self._check_time(t)
         return (
             self.spec.reaction * t
@@ -141,7 +167,16 @@ class FundamentalSolution:
         )
 
     def value(self, x, t: float):
-        """Kernel value G(x, t); strictly positive, even in x + t b."""
+        """Kernel value G(x, t); strictly positive, even in x + t b.
+
+        t may also be an array of times, one per row of a batch x of shape
+        (m, n); the result then has shape (m,).
+        """
+        if np.ndim(t):
+            pts, t = self._rows(x, t)
+            xi = (pts + t[:, None] * self.spec.drift) @ self.inv_sqrt / (2.0 * np.sqrt(t))[:, None]
+            q = np.einsum("ij,ij->i", xi, xi)
+            return np.where(q > EXP_UNDERFLOW, 0.0, np.exp(self.log_prefactor(t) - q))
         t = self._check_time(t)
         pts, single = self._points(x)
         xi = (pts + t * self.spec.drift) @ self.inv_sqrt / (2.0 * math.sqrt(t))
@@ -151,7 +186,15 @@ class FundamentalSolution:
         return float(out[0]) if single else out
 
     def gradient(self, x, t: float):
-        """Spatial gradient: -(1/2t) A^{-1}(x + t b) G(x, t)."""
+        """Spatial gradient: -(1/2t) A^{-1}(x + t b) G(x, t).
+
+        t may also be an array of times, one per row of a batch x of shape
+        (m, n); the result then has shape (m, n).
+        """
+        if np.ndim(t):
+            pts, t = self._rows(x, t)
+            z = (pts + t[:, None] * self.spec.drift) @ self.inverse
+            return -z * self.value(pts, t)[:, None] / (2.0 * t)[:, None]
         t = self._check_time(t)
         pts, single = self._points(x)
         g = np.atleast_1d(self.value(pts, t))

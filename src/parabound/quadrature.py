@@ -1,9 +1,10 @@
 """Deterministic quadrature building blocks shared by solver and oracles.
 
-Two families: tensor Gauss-Hermite rules matched to the whitened kernel
-weight exp(-|xi|^2), and composite Gauss-Legendre panels with dyadic
-grading toward marked kink locations (used where integrands carry |.|^q
-kinks or sign jumps that would wreck a plain Hermite rule).
+Three families: tensor Gauss-Hermite rules matched to the whitened kernel
+weight exp(-|xi|^2), composite Gauss-Legendre panels with dyadic grading
+toward marked kink locations (used where integrands carry |.|^q kinks or
+sign jumps that would wreck a plain Hermite rule), and the G7K15
+Gauss-Kronrod pair of the solver's adaptive Duhamel rule.
 """
 
 from __future__ import annotations
@@ -18,6 +19,44 @@ HERMITE_PRUNE_REL = 1e-18
 # Half-width, in kernel standard deviations, of the windows outside which
 # the solver and the oracles drop the kernel (a tail below e^{-72}).
 TRUNCATION_RADIUS = 12.0
+
+# The G7K15 pair on [-1, 1], from QUADPACK's qk15 (Piessens et al. 1983): the
+# 15 Kronrod nodes in ascending order and their weights (exact to degree 22),
+# and the weights of the 7-point Gauss rule on the same nodes, 0 at the nodes
+# only the Kronrod rule uses (exact to degree 13).
+GK15_NODES = np.array([
+    -0.991455371120812639206854697526329, -0.949107912342758524526189684047851,
+    -0.864864423359769072789712788640926, -0.741531185599394439863864773280788,
+    -0.586087235467691130294144845693013, -0.405845151377397166906606412076961,
+    -0.207784955007898467600689403773245, 0.0,
+    0.207784955007898467600689403773245, 0.405845151377397166906606412076961,
+    0.586087235467691130294144845693013, 0.741531185599394439863864773280788,
+    0.864864423359769072789712788640926, 0.949107912342758524526189684047851,
+    0.991455371120812639206854697526329,
+])
+GK15_WEIGHTS = np.array([
+    0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649, 0.209482141084727828012999174891714,
+    0.204432940075298892414161999234649, 0.190350578064785409913256402421014,
+    0.169004726639267902826583426598550, 0.140653259715525918745189590510238,
+    0.104790010322250183839876322541518, 0.063092092629978553290700663189204,
+    0.022935322010529224963732008058970,
+])
+G7_WEIGHTS = np.array([
+    0.0, 0.129484966168869693270611432679082,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.417959183673469387755102040816327,
+    0.0, 0.381830050505118944950369775488975,
+    0.0, 0.279705391489276667901467771423780,
+    0.0, 0.129484966168869693270611432679082,
+    0.0,
+])
+GK15_NODES.setflags(write=False)
+GK15_WEIGHTS.setflags(write=False)
+G7_WEIGHTS.setflags(write=False)
 
 
 @lru_cache(maxsize=64)

@@ -47,13 +47,17 @@ solver and for every sigma node of the Duhamel solver alike:
 
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
-behavior of the gradient integrand; composite Gauss-Legendre panels in
-sigma then converge spectrally. The integral is one more ladder of rules
-(_duhamel_pass): rung k doubles the sigma panels k times and runs every
-sigma node's spatial rule at rung k of its own ladder.
+behavior of the gradient integrand. The integral in sigma is global
+adaptive G7K15 Gauss-Kronrod (_duhamel, after QUADPACK's QAG): from four
+panels graded toward sigma = 0, the panel with the largest |K15 - G7| is
+halved, so a feature in sigma (the kernel window reaching a box face,
+or shrinking to a grid cell) gets panels where it lies. Every sigma
+node's spatial rule runs at two consecutive keys of its ladder, and
+their difference joins the estimate; the keys climb where that part
+dominates.
 
-Both solvers climb their ladder in one loop (_eval): each rung is
-compared with the one below it, and QuadratureFailure is raised when the
+The homogeneous solver climbs its ladder in _eval, each rung compared
+with the one below it; either solver raises QuadratureFailure when its
 estimate exceeds the configured target relative to the solution scale.
 """
 
@@ -75,6 +79,9 @@ from .errors import (
 from .kernel import FundamentalSolution
 from .mathcore import LOG_FLOAT_MAX, spectral_norm_inv_sqrt
 from .quadrature import (
+    G7_WEIGHTS,
+    GK15_NODES,
+    GK15_WEIGHTS,
     TRUNCATION_RADIUS,
     hermite_rule,
     hermite_tensor,
@@ -95,9 +102,10 @@ from .sources import (
 SOLVER_MAX_DIM = 3
 # Largest tensor rule (Hermite order^n nodes, or box and grid panel nodes) a solve may evaluate.
 _MAX_TENSOR_NODES = 2**21
-# Duhamel sigma panels at rung 0; each of the _TIME_RUNGS - 1 further rungs doubles them
-_TIME_PANELS = 24
-_TIME_RUNGS = 4
+# Edges of the Duhamel rule's starting sigma panels, as fractions of sqrt t: graded toward
+# sigma = 0, where the kernel is narrowest; and the most panels bisection may reach
+_SIGMA_EDGES = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
+_MAX_SIGMA_PANELS = 200
 
 
 @dataclass(frozen=True)
@@ -109,7 +117,9 @@ class QuadratureConfig:
     grid and kinked n = 1 data use their own fixed rules, and constant data
     its closed form. An order numpy cannot build (384 and up) raises
     QuadratureFailure in either Hermite frame. target_rel_err is the error
-    every solve must meet, relative to its tolerance scale.
+    every solve must meet, relative to its tolerance scale; the Duhamel
+    rule bisects its sigma panels and climbs its spatial keys until the
+    sum of its sigma and spatial estimates meets it.
     """
 
     hermite_order: int = 64
@@ -606,45 +616,99 @@ class _Slice(SourceFunction):
         return self.forcing.spatial_kinks(self.tau)
 
 
-def _duhamel_pass(kernel, forcing, x, t, quad, want_gradient, sup, rung):
-    """One rung of the Duhamel ladder: the integral over sigma on (0, sqrt t), t - tau = sigma^2.
+class _SigmaPanel:
+    """The 15 G7K15 sigma nodes of one Duhamel panel [a, b], with their spatial rules.
 
-    The rung takes _TIME_PANELS 2^rung composite Gauss-Legendre panels of
-    order 8 in sigma. Every sigma node integrates in space by the rule its
-    data picks (_route), at the same rung of that rule's ladder, clamped to
-    its last rung: a TimeInvariantForcing hands over its profile, one route
-    for all sigma nodes; any other forcing its slice at each tau. Like any
-    rule of _route it returns the integral and the summed bound of what
-    the spatial rules leave out.
+    With t - tau = sigma^2 the integrand is 2 sigma times the spatial
+    integral at kernel time sigma^2. A TimeInvariantForcing hands its
+    profile and the panel's 15 times to _route as one array; any other
+    forcing routes its slice at each tau on its own. at(k) runs every
+    node's rule at index k of its ladder, clamped to its last key, and
+    keeps what each choice of keys computed: the values and the bounds on
+    what the rules leave out, both stacked by node.
     """
-    sigmas, weights = panel_nodes(np.linspace(0.0, math.sqrt(t), _TIME_PANELS * 2**rung + 1), 8)
-    weights = 2.0 * sigmas * weights
-    times = sigmas * sigmas
-    if isinstance(forcing, TimeInvariantForcing):
-        groups = [(forcing.profile, times, weights)]
-    else:
-        groups = [(_Slice(forcing, t - s), times[i:i + 1], weights[i:i + 1])
-                  for i, s in enumerate(times)]
-    acc = np.zeros(kernel.n) if want_gradient else 0.0
-    dropped = 0.0
-    for data, group_times, group_weights in groups:
-        rule, keys = _route(kernel, data, x, group_times, quad, want_gradient, sup)
-        inner, bound = rule(keys[min(rung, len(keys) - 1)])
-        for w, value, left_out in zip(group_weights, inner, bound):
-            acc = acc + w * value
-            dropped += w * left_out
-    return acc, dropped
+
+    def __init__(self, kernel, forcing, x, t, quad, want_gradient, sup, a, b):
+        self.ends = (a, b)
+        half = 0.5 * (b - a)
+        sigmas = (a + half) + half * GK15_NODES
+        times = sigmas * sigmas
+        if isinstance(forcing, TimeInvariantForcing):
+            self.routes = [_route(kernel, forcing.profile, x, times, quad, want_gradient, sup)]
+        else:
+            self.routes = [_route(kernel, _Slice(forcing, t - s), x, s, quad, want_gradient, sup)
+                           for s in times]
+        self.depth = max(len(keys) for _, keys in self.routes)
+        self.kronrod = 2.0 * half * sigmas * GK15_WEIGHTS
+        self.gauss = 2.0 * half * sigmas * G7_WEIGHTS
+        self.cache = {}
+
+    def at(self, k):
+        chosen = tuple(keys[min(k, len(keys) - 1)] for _, keys in self.routes)
+        if chosen not in self.cache:
+            parts = [rule(key) for (rule, _), key in zip(self.routes, chosen)]
+            values, dropped = parts[0] if len(parts) == 1 else zip(*parts)
+            self.cache[chosen] = np.asarray(values, dtype=float), np.asarray(dropped, dtype=float)
+        return self.cache[chosen]
+
+    def sums(self, k):
+        """The panel's sums at ladder index k.
+
+        They are the Kronrod integral, |K - G|, the change of the integral
+        from index k - 1 and the bound on what the spatial rules leave out.
+        """
+        fine, dropped = self.at(k)
+        kronrod = self.kronrod @ fine
+        change = self.kronrod @ (fine - self.at(k - 1)[0])
+        return kronrod, _magnitude(kronrod - self.gauss @ fine), change, self.kronrod @ dropped
+
+
+def _duhamel(kernel, forcing, x, t, quad, want_gradient, sup, bound):
+    """The Duhamel integral over sigma on (0, sqrt t), t - tau = sigma^2, by adaptive G7K15.
+
+    Global adaptive bisection as in QUADPACK's QAG (Piessens et al. 1983):
+    from the panels _SIGMA_EDGES, the panel with the largest |K15 - G7|
+    is halved until the estimate meets target_rel_err times the tolerance
+    scale. The estimate is the sum of |K15 - G7| over the panels, plus the
+    spatial estimate: every node's rule runs at index k and k - 1 of its
+    ladder (from k = 1), and the magnitude of the change of the integral
+    and the summed dropped bounds join. Where the spatial part is the
+    larger, k climbs instead while a ladder has keys left. Returns the
+    integral and its estimate; an estimate still unmet when the spatial
+    part alone misses on the last key, or at _MAX_SIGMA_PANELS panels, is
+    left to the caller to raise.
+    """
+    panel = partial(_SigmaPanel, kernel, forcing, x, t, quad, want_gradient, sup)
+    edges = math.sqrt(t) * _SIGMA_EDGES
+    panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
+    k = 1
+    while True:
+        kronrod, errors, change, dropped = zip(*(p.sums(k) for p in panels))
+        value = sum(kronrod)
+        sigma_est = sum(errors)
+        space_est = _magnitude(sum(change)) + sum(dropped)
+        est = sigma_est + space_est
+        tol = quad.target_rel_err * _tolerance_scale(value, bound)
+        if est <= tol or not (math.isfinite(est) and np.all(np.isfinite(value))):
+            return value, est
+        if space_est > sigma_est and k + 1 < max(p.depth for p in panels):
+            k += 1
+        elif space_est < tol and len(panels) < _MAX_SIGMA_PANELS:
+            a, b = panels.pop(int(np.argmax(errors))).ends
+            panels += [panel(a, 0.5 * (a + b)), panel(0.5 * (a + b), b)]
+        else:
+            return value, est
 
 
 def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
-    """u(x, t) or grad u(x, t): climb the ladder of rules, each rung checked against the one below.
+    """u(x, t) or grad u(x, t) within target_rel_err of the tolerance scale.
 
-    The homogeneous ladder is the spatial rule _route picks; the
-    nonhomogeneous one the Duhamel rungs, for a bounded forcing only (an
-    unbounded one raises QuadratureFailure before any quadrature). The
-    scale floor is 1e-3 of the a priori bound, e^{ct} sup|phi| or
-    (e^{ct} - 1)/c sup|f| (t sup|f| for c = 0), divided by sqrt(t) for
-    gradients.
+    The homogeneous solve climbs the ladder of the spatial rule _route
+    picks, each rung checked against the one below; the nonhomogeneous one
+    is _duhamel's adaptive rule, for a bounded forcing only (an unbounded
+    one raises QuadratureFailure before any quadrature). The scale floor
+    is 1e-3 of the a priori bound, e^{ct} sup|phi| or (e^{ct} - 1)/c sup|f|
+    (t sup|f| for c = 0), divided by sqrt(t) for gradients.
     """
     x, t = _check_solver_args(kernel, x, t)
     if data.n != kernel.n:
@@ -653,27 +717,25 @@ def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
     if sup == 0.0:
         return np.zeros(kernel.n) if want_gradient else 0.0
     if nonhom and sup == math.inf:
-        # the consecutive-rung estimate of the sigma rule assumes a bounded integrand
+        # the Gauss-Kronrod estimate of the sigma rule assumes a bounded integrand
         raise QuadratureFailure("the Duhamel rule needs a bounded forcing; sup|f| is infinite")
     _check_float_range(kernel, t, want_gradient)
     c = kernel.spec.reaction
-    if nonhom:
-        rule = partial(_duhamel_pass, kernel, data, x, t, quad, want_gradient, sup)
-        keys = range(_TIME_RUNGS)
-        bound = (math.expm1(c * t) / c if c else t) * sup
-    else:
-        rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
-        bound = math.exp(c * t) * sup
+    bound = ((math.expm1(c * t) / c if c else t) if nonhom else math.exp(c * t)) * sup
     if want_gradient:
         bound /= math.sqrt(t)
-    value, _ = rule(keys[0])
-    est = math.inf
-    for key in keys[1:]:
-        finer, dropped = rule(key)
-        est = _magnitude(finer - value) + dropped
-        value = finer
-        if est <= quad.target_rel_err * _tolerance_scale(value, bound):
-            break
+    if nonhom:
+        value, est = _duhamel(kernel, data, x, t, quad, want_gradient, sup, bound)
+    else:
+        rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
+        value, _ = rule(keys[0])
+        est = math.inf
+        for key in keys[1:]:
+            finer, dropped = rule(key)
+            est = _magnitude(finer - value) + dropped
+            value = finer
+            if est <= quad.target_rel_err * _tolerance_scale(value, bound):
+                break
     if not (math.isfinite(est) and np.all(np.isfinite(value))):
         if math.isinf(bound) and math.isfinite(sup):
             raise FloatOverflow("the a priori bound on the answer overflows float64")

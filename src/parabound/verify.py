@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -102,7 +103,7 @@ def _rotation_to_axis(v: np.ndarray) -> np.ndarray:
 
 
 def _directional_kink_frame(kernel: FundamentalSolution, direction: np.ndarray, t: float):
-    """Rotated frame for integrating |(grad G, l)|^q over R^n.
+    """Rotated frame for integrating |(grad G, l)|^q over R^n, n >= 2.
 
     Returns (Q, conditional_shift, conditional_chol): in z = Q^T (y + t b)
     coordinates the integrand's sign surface is exactly {z_1 = 0}, and for
@@ -112,8 +113,6 @@ def _directional_kink_frame(kernel: FundamentalSolution, direction: np.ndarray, 
     """
     normal = kernel.inverse @ direction
     q_rot = _rotation_to_axis(normal)
-    if kernel.n == 1:
-        return q_rot, None, None
     b_mat = q_rot.T @ kernel.inverse @ q_rot
     b22 = b_mat[1:, 1:]
     b21 = b_mat[1:, 0]
@@ -123,28 +122,32 @@ def _directional_kink_frame(kernel: FundamentalSolution, direction: np.ndarray, 
 
 
 def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direction,
-                               t: float, quad: QuadratureConfig = DEFAULT_QUADRATURE,
-                               inner_order: int = 96) -> float:
+                               t, quad: QuadratureConfig = DEFAULT_QUADRATURE,
+                               inner_order: int = 96):
     """Integral over R^n of |(grad G(y, t), l)|^{p'} dy, by quadrature.
 
     The outer variable runs along the direction where the integrand
     changes sign (graded panels split there); the remaining coordinates
     are integrated by Gauss-Hermite against the kernel's conditional
-    Gaussian. Kernel gradients enter as black-box point evaluations.
+    Gaussian. Kernel gradients enter as black-box point evaluations. t may
+    also be an array of times, with one integral per time: at n = 1 they
+    take one kernel call, at n >= 2 one call each.
     """
     n = kernel.n
     if n > ORACLE_MAX_DIM:
         raise UnsupportedData(f"gradient norm oracle supports n <= {ORACLE_MAX_DIM}")
     ell = np.asarray(direction, dtype=float).reshape(n)
+    if n == 1:
+        out = _grad_power_integral_1d(kernel, p_conj, ell, np.atleast_1d(t))
+        return out if np.ndim(t) else float(out[0])
+    if np.ndim(t):
+        return np.array([kernel_grad_power_integral(kernel, p_conj, ell, s, quad, inner_order)
+                         for s in t])
     q_rot, shift, chol = _directional_kink_frame(kernel, ell, t)
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
     radius = TRUNCATION_RADIUS * sigma
     z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,)), order=12)
     center = -t * kernel.spec.drift
-    if n == 1:
-        pts = center[None, :] + np.outer(z1, q_rot[:, 0])
-        vals = np.abs(kernel.gradient(pts, t) @ ell) ** p_conj
-        return float(w1 @ vals)
     xi, wx = hermite_tensor(inner_order, n - 1)
     qx = np.einsum("ij,ij->i", xi, xi)
     total_wx = np.exp(np.log(wx) + qx)
@@ -163,20 +166,43 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     return float(w1 @ inner)
 
 
+@lru_cache(maxsize=1)
+def _window_rule():
+    """Order-12 Gauss-Legendre panels on +- TRUNCATION_RADIUS, graded toward the kink at 0.
+
+    The n = 1 oracles scale it by each kernel time's sigma onto the window
+    around the kernel's center, where their integrands change sign.
+    """
+    edges = panel_edges(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, kinks=(0.0,))
+    nodes, weights = panel_nodes(edges, order=12)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
+def _grad_power_integral_1d(kernel, p_conj, ell, t):
+    """kernel_grad_power_integral at n = 1 for an array of times, in one kernel call."""
+    z, w = _window_rule()
+    sigma = 2.0 * np.sqrt(t * float(kernel.dec.eigenvalues[-1]))
+    pts = np.outer(sigma, z) - (t * kernel.spec.drift[0])[:, None]
+    vals = np.abs(kernel.gradient(pts.reshape(-1, 1), np.repeat(t, z.size)) @ ell) ** p_conj
+    return sigma * (vals.reshape(pts.shape) @ w)
+
+
 def kernel_grad_norm_oracle(kernel, p_conj, direction, t,
                             quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """L^{p'} norm over R^n of the directional kernel gradient."""
     return kernel_grad_power_integral(kernel, p_conj, direction, t, quad) ** (1.0 / p_conj)
 
 
-def _spacetime_power_integral(kernel, p_conj, direction, t, quad, integrand_power):
-    """Nested quadrature of integral over (0,t) of the spatial power integral.
+def _spacetime_power_integral(kernel, p_conj, t, integrand_power):
+    """Integral over eta in (0, t) of a spatial power integral, by Gauss-Legendre in v.
 
     The time variable is substituted eta = v^{1/(1-s)} with
     s = (n(p'-1)+p')/2, which turns the eta^{-s} endpoint blowup into a
-    bounded analytic integrand; graded Gauss-Legendre panels in v then
-    converge spectrally. integrand_power(eta) must return the spatial
-    integral at kernel time eta.
+    bounded analytic integrand; 24 uniform Gauss-Legendre panels of order
+    10 in v then converge spectrally. integrand_power(eta) takes the array
+    of all nodes' kernel times and returns the spatial integral at each.
     """
     n = kernel.n
     s = 0.5 * (n * (p_conj - 1.0) + p_conj)
@@ -186,14 +212,9 @@ def _spacetime_power_integral(kernel, p_conj, direction, t, quad, integrand_powe
         )
     power = 1.0 / (1.0 - s)
     upper = t ** (1.0 - s)
-    v_nodes, v_weights = panel_nodes(
-        panel_edges(0.0, upper, kinks=(0.0,), base_panels=24, levels=36), order=10
-    )
-    acc = 0.0
-    for v, w in zip(v_nodes, v_weights):
-        eta = v**power
-        acc += w * integrand_power(eta) * power * v ** (power - 1.0)
-    return acc
+    v_nodes, v_weights = panel_nodes(panel_edges(0.0, upper, base_panels=24), order=10)
+    eta = v_nodes**power
+    return float((v_weights * power * v_nodes ** (power - 1.0)) @ integrand_power(eta))
 
 
 def spacetime_grad_norm_oracle(kernel, p_conj, direction, t,
@@ -206,7 +227,7 @@ def spacetime_grad_norm_oracle(kernel, p_conj, direction, t,
     def spatial(eta):
         return kernel_grad_power_integral(kernel, p_conj, direction, eta, quad, inner_order)
 
-    total = _spacetime_power_integral(kernel, p_conj, direction, t, quad, spatial)
+    total = _spacetime_power_integral(kernel, p_conj, t, spatial)
     return total ** (1.0 / p_conj)
 
 
@@ -393,7 +414,7 @@ def extremal_forcing(kernel, target: ExtremalTarget,
         raise DomainError(f"nonhomogeneous extremal requires p > n + 2 = {n + 2}")
     pc = conjugate_exponent(target.p)
     power = _spacetime_power_integral(
-        kernel, pc, np.asarray(target.direction), target.t0, quad,
+        kernel, pc, target.t0,
         lambda eta: kernel_grad_power_integral(kernel, pc, target.direction, eta, quad),
     )
     return ExtremalForcing(kernel, target, normalizer=power ** (1.0 / target.p))
@@ -418,18 +439,18 @@ def attainment_ratio_nonhom(kernel, target: ExtremalTarget,
     pc = conjugate_exponent(target.p)
     x0 = np.asarray(target.x0)
 
-    def spatial(eta):
-        center = x0[0] + eta * kernel.spec.drift[0]
-        sigma = 2.0 * math.sqrt(eta * float(kernel.dec.eigenvalues[-1]))
-        nodes, w = panel_nodes(
-            panel_edges(center - 12 * sigma, center + 12 * sigma, kinks=(center,))
-        )
-        pts = nodes[:, None]
-        k_vals = kernel.gradient(x0[None, :] - pts, eta) @ ell
-        f_vals = forcing.kernel_time_profile(pts, eta)
-        return float(w @ (k_vals * f_vals))
+    nodes, w = _window_rule()
 
-    integral = _spacetime_power_integral(kernel, pc, ell, target.t0, quad, spatial)
+    def spatial(eta):
+        sigma = 2.0 * np.sqrt(eta * float(kernel.dec.eigenvalues[-1]))
+        center = x0[0] + eta * kernel.spec.drift[0]
+        pts = (np.outer(sigma, nodes) + center[:, None]).reshape(-1, 1)
+        times = np.repeat(eta, nodes.size)
+        k_vals = kernel.gradient(x0[None, :] - pts, times) @ ell
+        f_vals = forcing.kernel_time_profile(pts, times)
+        return sigma * ((k_vals * f_vals).reshape(eta.size, nodes.size) @ w)
+
+    integral = _spacetime_power_integral(kernel, pc, target.t0, spatial)
     return float(abs(integral) / (coeff * forcing.lp_norm(target.p, target.t0)))
 
 

@@ -96,6 +96,38 @@ class TestValue:
             HEAT_1D.gradient([0.0], -1.0)
 
 
+class TestTimePerRow:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_rows_match_scalar_calls_bitwise(self, n):
+        rng = np.random.default_rng(40 + n)
+        k = random_kernel(rng, n)
+        t = np.exp(rng.uniform(np.log(1e-6), np.log(8.0), 60))
+        t[20:35] = t[20]  # a run of rows that share one time
+        x = rng.standard_normal((t.size, n)) * np.sqrt(t)[:, None]
+        value, grad, log_pref = k.value(x, t), k.gradient(x, t), k.log_prefactor(t)
+        assert value.shape == (t.size,) and grad.shape == (t.size, n) and log_pref.shape == (t.size,)
+        for i in range(t.size):
+            assert value[i] == k.value(x[i], t[i])
+            assert np.array_equal(grad[i], k.gradient(x[i], t[i]))
+            assert log_pref[i] == k.log_prefactor(t[i])
+
+    def test_nonpositive_time_in_the_array(self):
+        x = np.zeros((3, 1))
+        for bad in (0.0, -1e-300, math.nan):
+            t = np.array([0.5, bad, 1.0])
+            for fn in (HEAT_1D.value, HEAT_1D.gradient):
+                with pytest.raises(NonpositiveTime):
+                    fn(x, t)
+            with pytest.raises(NonpositiveTime):
+                HEAT_1D.log_prefactor(t)
+
+    def test_one_time_per_row(self):
+        with pytest.raises(DomainError):
+            HEAT_1D.value(np.zeros((3, 1)), np.ones(2))
+        with pytest.raises(DomainError):
+            HEAT_1D.gradient(np.zeros(1), np.ones(1))
+
+
 class TestGradient:
     def test_vanishes_only_at_shifted_origin(self):
         k = make_kernel([[1.0]], [0.0], 0.0)

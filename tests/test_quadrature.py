@@ -1,10 +1,18 @@
-"""Quadrature building blocks: the pruned tensor Gauss-Hermite rule."""
+"""Quadrature building blocks: the pruned tensor Gauss-Hermite rule and the G7K15 pair."""
 
 import numpy as np
 import pytest
 
 from parabound import verify
-from parabound.quadrature import HERMITE_PRUNE_REL, hermite_tensor, pruned_hermite_tensor
+from parabound.quadrature import (
+    G7_WEIGHTS,
+    GK15_NODES,
+    GK15_WEIGHTS,
+    HERMITE_PRUNE_REL,
+    hermite_tensor,
+    legendre_rule,
+    pruned_hermite_tensor,
+)
 
 
 class TestPrunedHermiteTensor:
@@ -39,3 +47,25 @@ class TestPrunedHermiteTensor:
     def test_oracles_keep_the_full_rule(self):
         assert verify.hermite_tensor is hermite_tensor
         assert not hasattr(verify, "pruned_hermite_tensor")
+
+
+class TestGaussKronrod:
+    def test_exact_to_its_degree(self):
+        # K15 integrates monomials exactly to degree 3 * 7 + 1 = 22, G7 to 13
+        for degree in range(24):
+            exact = (1.0 - (-1.0) ** (degree + 1)) / (degree + 1)
+            powers = GK15_NODES**degree
+            assert GK15_WEIGHTS @ powers == pytest.approx(exact, abs=1e-15)
+            if degree <= 13:
+                assert G7_WEIGHTS @ powers == pytest.approx(exact, abs=1e-15)
+        assert abs(GK15_WEIGHTS @ GK15_NODES**24 - 2.0 / 25) > 1e-12
+        assert abs(G7_WEIGHTS @ GK15_NODES**14 - 2.0 / 15) > 1e-6
+
+    def test_gauss_part_is_gauss_legendre_7(self):
+        nodes, weights = legendre_rule(7)
+        gauss = G7_WEIGHTS != 0.0
+        assert np.count_nonzero(gauss) == 7
+        assert np.allclose(GK15_NODES[gauss], nodes, rtol=0.0, atol=4e-16)
+        assert np.allclose(G7_WEIGHTS[gauss], weights, rtol=0.0, atol=4e-16)
+        assert np.array_equal(GK15_NODES, -GK15_NODES[::-1])
+        assert np.array_equal(GK15_WEIGHTS, GK15_WEIGHTS[::-1])

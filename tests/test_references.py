@@ -12,6 +12,7 @@ e^{ct} sup|data|, divided by sqrt(t) for gradients).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -453,14 +454,47 @@ def test_grid_2d_separable_matches_product_of_linear_cells():
 
 
 def test_grid_forcing_matches_time_integral_of_linear_cells():
-    # u(x, t) is the homogeneous grid solution integrated over kernel time s
+    # u(x, t) and grad u(x, t) are the homogeneous grid solutions integrated
+    # over kernel time s. The gradient's integrand has a feature at s = h^2,
+    # where the kernel shrinks to one cell; quad gets it as a breakpoint
+    # (without it quad is 3e-10 off the exact -0.19520692927781)
     k = make_kernel([[1.0]], [0.0], 0.0)
-    grid = _gaussian_grid_1d(0.01)
+    h = 0.01
+    grid = _gaussian_grid_1d(h)
     x, t = [0.5], 1.0
-    u = sv.solve_nonhomogeneous(k, TimeInvariantForcing(grid), x, t)
+    forcing = TimeInvariantForcing(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = sv.solve_nonhomogeneous(k, forcing, x, t)
+        grad = sv.gradient_nonhomogeneous(k, forcing, x, t)
     u_ref = integrate.quad(lambda s: grid_reference(k, grid, [grid.values], x, s)[0], 0.0, t,
                            epsabs=1e-15, epsrel=1e-12, limit=200)[0]
+    grad_ref = integrate.quad(lambda s: grid_reference(k, grid, [grid.values], x, s)[1][0], 0.0, t,
+                              epsabs=1e-15, epsrel=1e-12, limit=200, points=(h * h,))[0]
     assert abs(u - u_ref) <= TARGET * u_ref
+    assert abs(grad[0] - grad_ref) <= TARGET * abs(grad_ref)
+
+
+def test_box_forcing_near_an_edge_matches_time_integral_of_tensor_rule():
+    # x_1 lies 0.01 inside the face x_1 = 0.5, so the integrand in sigma,
+    # t - tau = sigma^2, has a feature where the kernel window first reaches
+    # that face; the reference integrates box_tensor_reference in sigma (its
+    # panels of one sd agree with those of half an sd to 1e-16 here)
+    k = make_kernel(np.diag([1.3, 0.6]), [0.5, -1.0], -0.25)
+    box = BoxIndicator(lo=(-0.5, -0.3), hi=(0.5, 0.4))
+    x, t = np.array([0.49, 0.2]), 0.3
+    forcing = TimeInvariantForcing(box)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = sv.solve_nonhomogeneous(k, forcing, x, t)
+        grad = sv.gradient_nonhomogeneous(k, forcing, x, t)
+
+    def reference(sigma):
+        u_s, grad_s = box_tensor_reference(k, box, x, sigma * sigma, per_sd=1)
+        return 2.0 * sigma * np.concatenate(([u_s], grad_s))
+
+    ref = integrate.quad_vec(reference, 0.0, math.sqrt(t), epsabs=1e-15, epsrel=1e-11)[0]
+    assert_within_contract(u, grad, ref[0], ref[1:], math.expm1(-0.25 * t) / -0.25, t)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -382,13 +382,13 @@ class TestSolveNonhomogeneous:
             mass = (math.exp(c * t) - 1.0) / c if c != 0 else t
             assert abs(u) <= mass * amp * (1 + 1e-6)
 
-    def test_duhamel_rung_k_runs_each_route_at_its_rung_k(self, monkeypatch):
-        # rung k of the Duhamel ladder has 8 x 24 x 2^k sigma nodes, each
-        # integrated at rung k of its route's ladder (constant and n = 1 box
-        # data have one closed form); these cases stop at rung 1, and the
-        # Hermite order reaches only the kernel frame. A route over several
-        # times calls itself at each; only the calls _duhamel_pass makes are
-        # recorded.
+    def test_duhamel_starts_from_four_panels_at_keys_one_and_zero(self, monkeypatch):
+        # the adaptive sigma rule starts from four G7K15 panels of 15 nodes and
+        # runs every node's spatial rule at keys 1 and 0 of its ladder; these
+        # cases meet the target there. A time-invariant forcing hands each
+        # panel's 15 times to one route (a closed form's two keys are one
+        # rule, run once); a route over several times calls itself at each,
+        # so only the calls with an array of times are recorded.
         used = []
         route = sv._route
 
@@ -396,27 +396,26 @@ class TestSolveNonhomogeneous:
             rule, keys = route(kernel, data, x, t, *rest)
 
             def rule_recorded(key):
-                if np.ndim(t):
-                    used.append((np.size(t), key))
+                used.append((np.size(t), key))
                 return rule(key)
 
             return rule_recorded, keys
 
         monkeypatch.setattr(sv, "_route", recording)
         cases = [
-            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), ["closed form"] * 2),
-            (GaussianBump(center=(0.0,), spread=0.8), [4, 8]),
-            (ConstantData(2.0), ["closed form"] * 2),
+            (BoxIndicator(lo=(-0.5,), hi=(0.7,)), ["closed form"]),
+            (GaussianBump(center=(0.0,), spread=0.8), [8, 4]),
+            (ConstantData(2.0), ["closed form"]),
         ]
         for profile, keys in cases:
             used.clear()
             sv.solve_nonhomogeneous(HEAT_1D, TimeInvariantForcing(profile), [0.2], 0.4)
-            assert used == list(zip((192, 384), keys))
+            assert used == [(15, key) for key in keys] * 4
         # a forcing that varies in time routes each sigma node on its own
         used.clear()
         target = ExtremalTarget(x0=(0.2,), t0=0.4, p=math.inf, direction=(1.0,), mollify=0.3)
         sv.solve_nonhomogeneous(HEAT_1D, extremal_forcing(HEAT_1D, target), [0.2], 0.4)
-        assert used == [(1, 8)] * 192 + [(1, 12)] * 384
+        assert used == ([(1, 12)] * 15 + [(1, 8)] * 15) * 4
 
 
 class TestErrorPaths:
@@ -448,6 +447,15 @@ class TestErrorPaths:
                 sv.gradient_nonhomogeneous(HEAT_1D, forcing, [0.0], 0.5, quad)
             with pytest.raises(QuadratureFailure, match="bounded forcing"):
                 sv.solve_nonhomogeneous(HEAT_1D, forcing, [0.0], 0.5, quad)
+
+    def test_sigma_panel_cap_is_quadrature_failure(self, monkeypatch):
+        # box forcing just inside a face needs bisection in sigma; with no
+        # panel to spare, the unmet estimate is a typed failure
+        monkeypatch.setattr(sv, "_MAX_SIGMA_PANELS", 4)
+        k = make_kernel(np.diag([1.3, 0.6]), [0.5, -1.0], -0.25)
+        box = TimeInvariantForcing(BoxIndicator(lo=(-0.5, -0.3), hi=(0.5, 0.4)))
+        with pytest.raises(QuadratureFailure, match="error estimate"):
+            sv.gradient_nonhomogeneous(k, box, [0.49, 0.2], 0.3)
 
     def test_low_start_order_escalates_past_four_rules(self):
         # kernel frame: orders 16/32/64/128 leave an estimate of 3e-8; the
