@@ -166,23 +166,31 @@ class FundamentalSolution:
             - math.log(self.det_sqrt)
         )
 
+    def _pass(self, x, t):
+        """The pass value and gradient share: (x + t b, G(x, t), t, single).
+
+        t comes back as a column for one time per row of x, else as the
+        checked scalar; single tells a lone point of shape (n,).
+        """
+        if np.ndim(t):
+            pts, t = self._rows(x, t)
+            col, single = t[:, None], False
+        else:
+            col = t = self._check_time(t)
+            pts, single = self._points(x)
+        shifted = pts + col * self.spec.drift
+        xi = shifted @ self.inv_sqrt / (2.0 * np.sqrt(col))
+        q = np.einsum("ij,ij->i", xi, xi)
+        g = np.where(q > EXP_UNDERFLOW, 0.0, np.exp(self.log_prefactor(t) - q))
+        return shifted, g, col, single
+
     def value(self, x, t: float):
         """Kernel value G(x, t); strictly positive, even in x + t b.
 
         t may also be an array of times, one per row of a batch x of shape
         (m, n); the result then has shape (m,).
         """
-        if np.ndim(t):
-            pts, t = self._rows(x, t)
-            xi = (pts + t[:, None] * self.spec.drift) @ self.inv_sqrt / (2.0 * np.sqrt(t))[:, None]
-            q = np.einsum("ij,ij->i", xi, xi)
-            return np.where(q > EXP_UNDERFLOW, 0.0, np.exp(self.log_prefactor(t) - q))
-        t = self._check_time(t)
-        pts, single = self._points(x)
-        xi = (pts + t * self.spec.drift) @ self.inv_sqrt / (2.0 * math.sqrt(t))
-        q = np.einsum("ij,ij->i", xi, xi)
-        log_pref = self.log_prefactor(t)
-        out = np.where(q > EXP_UNDERFLOW, 0.0, np.exp(log_pref - q))
+        _, out, _, single = self._pass(x, t)
         return float(out[0]) if single else out
 
     def gradient(self, x, t: float):
@@ -191,15 +199,8 @@ class FundamentalSolution:
         t may also be an array of times, one per row of a batch x of shape
         (m, n); the result then has shape (m, n).
         """
-        if np.ndim(t):
-            pts, t = self._rows(x, t)
-            z = (pts + t[:, None] * self.spec.drift) @ self.inverse
-            return -z * self.value(pts, t)[:, None] / (2.0 * t)[:, None]
-        t = self._check_time(t)
-        pts, single = self._points(x)
-        g = np.atleast_1d(self.value(pts, t))
-        z = (pts + t * self.spec.drift) @ self.inverse
-        out = -z * g[:, None] / (2.0 * t)
+        shifted, g, col, single = self._pass(x, t)
+        out = -(shifted @ self.inverse) * g[:, None] / (2.0 * col)
         return out[0] if single else out
 
     def fourier_symbol(self, xi, t: float):

@@ -64,6 +64,7 @@ estimate exceeds the configured target relative to the solution scale.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 
@@ -113,10 +114,10 @@ class QuadratureConfig:
     """Quadrature knobs for the solvers and oracles.
 
     hermite_order is the starting order of the kernel-frame Gauss-Hermite
-    rule only (and the oracles' Hermite rules); Gaussian, polygauss, box,
-    grid and kinked n = 1 data use their own fixed rules, and constant data
-    its closed form. An order numpy cannot build (384 and up) raises
-    QuadratureFailure in either Hermite frame. target_rel_err is the error
+    rule only; Gaussian, polygauss, box, grid and kinked n = 1 data use
+    their own fixed rules, constant data its closed form, and the verify
+    oracles fixed rules of their own. An order numpy cannot build (384 and
+    up) raises QuadratureFailure in either Hermite frame. target_rel_err is the error
     every solve must meet, relative to its tolerance scale; the Duhamel
     rule bisects its sigma panels and climbs its spatial keys until the
     sum of its sigma and spatial estimates meets it.
@@ -724,18 +725,20 @@ def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
     bound = ((math.expm1(c * t) / c if c else t) if nonhom else math.exp(c * t)) * sup
     if want_gradient:
         bound /= math.sqrt(t)
-    if nonhom:
-        value, est = _duhamel(kernel, data, x, t, quad, want_gradient, sup, bound)
-    else:
-        rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
-        value, _ = rule(keys[0])
-        est = math.inf
-        for key in keys[1:]:
-            finer, dropped = rule(key)
-            est = _magnitude(finer - value) + dropped
-            value = finer
-            if est <= quad.target_rel_err * _tolerance_scale(value, bound):
-                break
+    # with the bound beyond float64 the answer may overflow on the way; the check below names it
+    with np.errstate(over="ignore", invalid="ignore") if math.isinf(bound) else nullcontext():
+        if nonhom:
+            value, est = _duhamel(kernel, data, x, t, quad, want_gradient, sup, bound)
+        else:
+            rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
+            value, _ = rule(keys[0])
+            est = math.inf
+            for key in keys[1:]:
+                finer, dropped = rule(key)
+                est = _magnitude(finer - value) + dropped
+                value = finer
+                if est <= quad.target_rel_err * _tolerance_scale(value, bound):
+                    break
     if not (math.isfinite(est) and np.all(np.isfinite(value))):
         if math.isinf(bound) and math.isfinite(sup):
             raise FloatOverflow("the a priori bound on the answer overflows float64")

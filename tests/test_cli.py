@@ -196,6 +196,19 @@ class TestOverflow:
         assert code == 2
         assert "overflows float64" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["hom", "nonhom"])
+    @pytest.mark.parametrize("data", ["gaussian:amp=1e308", "polygauss:amp=1e308",
+                                      "constant:value=1e308"])
+    def test_solve_overflow_on_the_way_is_float_overflow(self, capsys, kind, data):
+        # e^{ct} = e^250 fits; the products inside the Gaussian and constant rules do not
+        spec = json.dumps({"n": 1, "A": [[1]], "b": [0], "c": 5, "T": 100})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["solve", "--spec-json", spec, "--kind", kind,
+                            "--data", data, "--points", "0.5,50"])
+        assert code == 2
+        assert "the a priori bound on the answer overflows float64" in capsys.readouterr().err
+
 
 class TestSolveCommand:
     def test_exit_2_beyond_horizon(self):

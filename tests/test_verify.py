@@ -45,6 +45,14 @@ class TestMassOracle:
         bad = vf.mass_quadrature_oracle(broken, 1.0)
         assert abs(bad / good - 1.001) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_order_32_meets_the_mass_to_roundoff(self, n):
+        rng = np.random.default_rng(30 + n)
+        for _ in range(3):
+            k = random_kernel(rng, n)
+            t = float(rng.uniform(0.2, 3.0))
+            assert abs(vf.mass_quadrature_oracle(k, t) / k.total_mass(t) - 1.0) <= 1e-14
+
 
 class TestKernelGradNormOracle:
     def test_frozen_l2_value(self):
@@ -76,6 +84,17 @@ class TestKernelGradNormOracle:
         closed = sharp_coefficient_hom(k, p, t, ell).value
         assert abs(oracle - closed) <= 1e-6 * closed
 
+    @pytest.mark.parametrize("p", [1.25, 1.5, 2.0, 4.0, 8.0, math.inf])
+    def test_n2_inner_rule_to_near_roundoff(self, p):
+        # p' > 2 narrows the integrand's Gaussian below the Hermite weight's,
+        # which is where the inner rule must grow
+        rng = np.random.default_rng(7)
+        k = random_kernel(rng, 2)
+        ell = vf.random_unit_vector(rng, 2)
+        oracle = vf.kernel_grad_norm_oracle(k, conjugate_exponent(p), ell, 0.9)
+        closed = sharp_coefficient_hom(k, p, 0.9, ell).value
+        assert abs(oracle - closed) <= 1e-12 * closed
+
 
 class TestSpacetimeOracle:
     def test_frozen_l43_value(self):
@@ -88,6 +107,16 @@ class TestSpacetimeOracle:
         val = vf.spacetime_grad_norm_oracle(k, 1.0, np.array([1.0]), t)
         closed = sharp_coefficient_nonhom(k, math.inf, t, np.array([1.0])).value
         assert abs(val - closed) <= 1e-10 * closed
+
+    @pytest.mark.parametrize("p", [3.5, 4.0, 6.0, 8.0, math.inf])
+    def test_time_rule_to_near_roundoff(self, p):
+        rng = np.random.default_rng(int(10 * min(p, 9.0)))
+        k = random_kernel(rng, 1)
+        t = float(rng.uniform(0.3, 2.0))
+        ell = np.array([1.0])
+        oracle = vf.spacetime_grad_norm_oracle(k, conjugate_exponent(p), ell, t)
+        closed = sharp_coefficient_nonhom(k, p, t, ell).value
+        assert abs(oracle - closed) <= 2e-13 * closed
 
     def test_inadmissible_exponent(self):
         with pytest.raises(DivergentIntegral):
@@ -305,6 +334,16 @@ class TestSuite:
         failed = {r.check for r in reports if not r.passed}
         assert any(name.startswith("duality_hom") for name in failed)
         assert any(name.startswith("duality_nonhom") for name in failed)
+
+    def test_small_perturbation_fails_the_tight_checks(self):
+        # the checks whose tolerance is below 1e-6; the loose ones must not notice
+        reports = vf.run_checks(vf.default_checks(perturb=1e-6))
+        failed = {r.check for r in reports if not r.passed}
+        assert failed == {
+            "duality_nonhom/pinf_reduction", "scaling/hom_pinf", "special_case/hom_pinf",
+            "special_case/nonhom_pinf", "sphere_oracle/n2", "sphere_oracle/n3",
+            *(f"mass/n{n}/s{i}" for n in (1, 2, 3) for i in (0, 1)),
+        }
 
     def test_jobs_deterministic(self):
         serial = vf.run_checks(vf.default_checks())
