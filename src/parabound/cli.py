@@ -18,7 +18,6 @@ import dataclasses
 import fnmatch
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -43,7 +42,6 @@ from .sources import (
 )
 from .verify import default_checks, run_checks
 
-QUAD_ORDER_ENV = "PARABOUND_QUAD_ORDER"
 JOBS_HELP = "accepted and recorded in the manifest; the work runs serially"
 
 EXIT_OK = 0
@@ -114,14 +112,10 @@ def load_spec(args) -> ProblemSpec:
 
 
 def resolve_quadrature(args) -> QuadratureConfig:
-    order = getattr(args, "quad_order", None)
-    if order is None:
-        env = os.environ.get(QUAD_ORDER_ENV)
-        order = int(env) if env else 64
     target = getattr(args, "target_rel_err", None)
     if target is None:
-        return QuadratureConfig(hermite_order=int(order))
-    return QuadratureConfig(hermite_order=int(order), target_rel_err=float(target))
+        return QuadratureConfig()
+    return QuadratureConfig(target_rel_err=float(target))
 
 
 def parse_direction(text):
@@ -242,7 +236,6 @@ def manifest_to_argv(manifest: dict) -> list:
         argv += ["--seed", str(manifest["seed"])]
     if manifest.get("jobs"):
         argv += ["--jobs", str(manifest["jobs"])]
-    argv += ["--quad-order", str(manifest["quadrature"]["hermite_order"])]
     argv += ["--target-rel-err", fmt(manifest["quadrature"]["target_rel_err"])]
     return argv
 
@@ -391,9 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--spec", help="path to problem spec JSON")
             p.add_argument("--spec-json", help="inline problem spec JSON")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--quad-order", type=int, help="starting order of the kernel-frame "
-                       "Gauss-Hermite rule; Gaussian, polygauss and box data use their own "
-                       f"rules (default: ${QUAD_ORDER_ENV} or 64)")
+        p.add_argument("--quad-order", type=int, help="accepted so that older command lines "
+                       "run, and ignored: every data kind has its own fixed rules")
         p.add_argument("--target-rel-err", type=float,
                        help="quadrature error target (default 1e-8)")
 

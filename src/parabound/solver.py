@@ -6,11 +6,12 @@ picks the rule for that integral from the data, for the homogeneous
 solver and for every sigma node of the Duhamel solver alike:
 
 - Data with a Gaussian factor (gaussian_factor(): Gaussian and polygauss
-  presets) takes tensor Gauss-Hermite in the frame of the product of the
-  kernel and that factor, whose precision shares A's eigenvectors (the
-  adaptive Gauss-Hermite of Liu & Pierce, Biometrika 81, 1994). The rule
-  integrates only the polynomial left over, exactly from order 4; orders
-  4 and 8 are compared and doubled on a miss.
+  presets) takes the one tensor Gauss-Hermite pass (_hermite_pass) in the
+  frame of the product of the kernel and that factor
+  exp(-q |y - center|^2), q = 1/(4 spread), whose precision shares A's
+  eigenvectors (the adaptive Gauss-Hermite of Liu & Pierce, Biometrika 81,
+  1994). The rule integrates only the polynomial left over, exactly from
+  order 4; orders 4 and 8 are compared and doubled on a miss.
 - Constant data v takes the closed form u = v e^{ct}, grad u = 0.
 - Box data amp 1[lo, hi] gives u = e^{ct} amp P(lo <= Y <= hi) with
   Y ~ N(x + t b, 2 t A). Axes whose window x_j + t b_j +-
@@ -32,18 +33,17 @@ solver and for every sigma node of the Duhamel solver alike:
   midpoint rule) to 12, each compared with the one before.
 - n = 1 data with kinks (the extremal |.|^q profiles) takes composite
   Gauss-Legendre panels graded toward the kinks, orders 12 and 8.
-- Everything else (extremal for n >= 2, custom data) takes tensor
-  Gauss-Hermite in the kernel's whitened frame,
-  xi = A^{-1/2}(x - y + t b)/(2 sqrt t):
+- Everything else (extremal for n >= 2, custom data) takes the same pass
+  at q = 0 and center 0, the kernel alone (A = Q diag(lam) Q^T):
 
-    u(x, t) = e^{ct} pi^{-n/2} * sum_i w_i phi(x + t b - 2 sqrt(t) A^{1/2} xi_i),
+    u(x, t) = e^{ct} pi^{-n/2} * sum_i w_i phi(x + t b + 2 sqrt(t) Q lam^{1/2} xi_i).
 
-  at the configured hermite_order, doubled up to 256 on a miss. The rule
-  is pruned of the nodes whose product weight is at most 1e-18 of the
-  total (quadrature.pruned_hermite_tensor), and a bound on what they
-  would add joins the error estimate (_hermite_pass). The kept nodes come
-  in +-xi pairs, so the gradient sums w xi (phi(y+) - phi(y-)) over pairs
-  and is exactly 0 for constant-valued data.
+  Orders 48 and 64 are compared, doubled up to 256 on a miss. The rule
+  drops the nodes of product weight at most 1e-18 of the total (Jaeckel
+  2005), and a bound on what they would add joins the error estimate.
+
+Either way the gradient sums over +-xi node pairs, so it is exactly 0 for
+constant-valued data.
 
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
@@ -84,7 +84,6 @@ from .quadrature import (
     GK15_NODES,
     GK15_WEIGHTS,
     TRUNCATION_RADIUS,
-    hermite_rule,
     hermite_tensor,
     panel_edges,
     panel_nodes,
@@ -111,24 +110,19 @@ _MAX_SIGMA_PANELS = 200
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Quadrature knobs for the solvers and oracles.
+    """The error target of the solvers.
 
-    hermite_order is the starting order of the kernel-frame Gauss-Hermite
-    rule only; Gaussian, polygauss, box, grid and kinked n = 1 data use
-    their own fixed rules, constant data its closed form, and the verify
-    oracles fixed rules of their own. An order numpy cannot build (384 and
-    up) raises QuadratureFailure in either Hermite frame. target_rel_err is the error
-    every solve must meet, relative to its tolerance scale; the Duhamel
-    rule bisects its sigma panels and climbs its spatial keys until the
-    sum of its sigma and spatial estimates meets it.
+    target_rel_err is the error every solve must meet, relative to its
+    tolerance scale; the homogeneous solve climbs its rule's ladder, and
+    the Duhamel rule bisects its sigma panels and climbs its spatial keys,
+    until the estimate meets it. The rules themselves are fixed per data
+    kind (see the module docstring); the verify oracles use fixed rules of
+    their own.
     """
 
-    hermite_order: int = 64
     target_rel_err: float = 1e-8
 
     def __post_init__(self):
-        if self.hermite_order < 8:
-            raise DomainError("hermite_order must be >= 8")
         if not self.target_rel_err > 0:
             raise DomainError("quadrature configuration values must be positive")
 
@@ -167,93 +161,77 @@ def _check_float_range(kernel, t, want_gradient):
         raise FloatOverflow(f"kernel factor e^{log_peak:.6g} overflows float64")
 
 
-@lru_cache(maxsize=16)
-def _check_hermite_order(order: int):
-    """Raise QuadratureFailure for an order whose numpy weights are not finite (384 and up)."""
-    if not np.all(np.isfinite(hermite_rule(order)[1])):
-        raise QuadratureFailure(f"Gauss-Hermite order {order} has non-finite weights")
+def _product_frame(kernel, x, t, center, precision):
+    """The product of the kernel at time(s) t and the data's Gaussian factor exp(-q |y - c|^2).
 
-
-def _hermite_pass(kernel, data, x, t, order, want_gradient, sup):
-    """One tensor Gauss-Hermite pass in the kernel frame, over the pruned rule, summed by +-xi pairs.
-
-    Returns the value (or gradient) and a bound on what the pruned nodes
-    would add: front sup D, or front / sqrt(t) sup M ||A^{-1/2}||_2 for the
-    gradient. Data with infinite sup takes the full rule (bound 0). Raises
-    QuadratureFailure, without evaluating anything, for an order whose
-    numpy weights are not finite.
-    """
-    _check_hermite_order(order)
-    if math.isfinite(sup):
-        xi, w, mass, moment = pruned_hermite_tensor(order, kernel.n)
-    else:
-        (xi, w), mass, moment = hermite_tensor(order, kernel.n), 0.0, 0.0
-    # node k and node N-1-k are negatives; an odd rule keeps xi = 0 in the middle
-    half, odd = divmod(len(w), 2)
-    center = x + t * kernel.spec.drift
-    shift = 2.0 * math.sqrt(t) * (xi[:half] @ kernel.sqrt)
-    vals = data(np.concatenate([center - shift, center[None][:odd], center + shift]))
-    plus, minus = vals[:half], vals[half + odd:]
-    front = math.exp(kernel.spec.reaction * t) * math.pi ** (-kernel.n / 2.0)
-    if want_gradient:
-        vec = xi[:half] @ kernel.inv_sqrt
-        grad = -front / math.sqrt(t) * ((w[:half] * (plus - minus)) @ vec)
-        if moment == 0.0:
-            return grad, 0.0
-        return grad, front / math.sqrt(t) * sup * moment * spectral_norm_inv_sqrt(kernel.dec)
-    value = float(w[:half] @ (plus + minus))
-    if odd:
-        value += float(w[half] * vals[half])
-    return front * value, (front * sup * mass if mass else 0.0)
-
-
-def _product_frame(kernel, x, t, center, spread):
-    """The product of the kernel at time(s) t and the data's Gaussian factor.
-
-    With y - c in A's eigenbasis, z = Q^T (x + t b - c) and
-    d = spread + t lam, the kernel times exp(-|y - c|^2 / (4 spread)) is
-    e^{ct} C times the normal density with mean spread z / d and variances
-    2 t lam spread / d, where C = prod (spread / d)^{1/2} exp(-z^2 / (4 d)).
-    A's eigenvectors diagonalise both factors, so no new factorisation is
-    needed. t may be an array of kernel times (the sigma nodes of a
-    Duhamel pass). Returns, per time, the mean and node scale of y - c,
-    log C, e^{ct} pi^{-n/2} and the node scale of the gradient factor.
+    With q = precision, y - c in A's eigenbasis, z = Q^T (x + t b - c) and
+    shrink = 1 / (1 + 4 q t lam), the product is e^{ct} C times the normal
+    density with mean shrink z and variances 2 t lam shrink, where
+    log C = 1/2 sum log shrink - q (mean . z). A's eigenvectors diagonalise
+    both factors, so no new factorisation is needed. At q = 0 it is the
+    kernel alone: shrink 1 and C 1. t may be an array of kernel times (the
+    sigma nodes of a Duhamel pass). Returns c and q, and per time the mean
+    and node scale of y - c, log C, e^{ct} pi^{-n/2} and the node scale of
+    the gradient factor.
     """
     lam = kernel.dec.eigenvalues
     t = np.asarray(t, dtype=float)
     times = t.reshape(-1, 1, 1)
     z = (x - center + times * kernel.spec.drift) @ kernel.dec.eigenvectors
     spread_t = times * lam
-    shrink = spread / (spread + spread_t)  # spread / d
+    shrink = 1.0 / (1.0 + (4.0 * precision) * spread_t)
     mean = shrink * z
-    log_mass = 0.5 * np.log(shrink).sum(-1) - (mean * z).sum(-1) / (4.0 * spread)
+    log_mass = 0.5 * np.log(shrink).sum(-1) - precision * (mean * z).sum(-1)
     front = np.exp(kernel.spec.reaction * times[:, 0]) * math.pi ** (-kernel.n / 2.0)
-    return t.ndim, mean, np.sqrt(4.0 * spread_t * shrink), log_mass, front, np.sqrt(shrink / spread_t)
+    return (center, precision, t.ndim, mean, np.sqrt(4.0 * spread_t * shrink), log_mass, front,
+            np.sqrt(shrink / spread_t))
 
 
-def _product_pass(kernel, data, center, spread, frame, order, want_gradient):
-    """One tensor Gauss-Hermite pass on the product Gaussian (see _product_frame).
+def _hermite_pass(kernel, data, frame, order, want_gradient, sup):
+    """The tensor Gauss-Hermite rule of one order in a product frame (see _product_frame).
 
-    The rule integrates what is left of the data, phi divided by its
-    Gaussian factor; for Gaussian and polygauss data that is a polynomial
-    of degree <= 2 per axis, which order 4 integrates exactly even with the
-    gradient's extra degree. Over several times the data is evaluated once
-    for all of them and the results are stacked by time.
+    The rule integrates what is left of the data, phi times
+    exp(q |y - c|^2): for Gaussian and polygauss data a polynomial of
+    degree <= 2 per axis, which order 4 integrates exactly even with the
+    gradient's extra degree; at q = 0 phi itself. Over several times the
+    data is evaluated once for all of them and the results are stacked by
+    time. Returns the value (or gradient) and a bound on what the rule
+    leaves out. Only a leftover with a known finite sup (q = 0, sup|phi|
+    finite) takes the pruned rule (pruned_hermite_tensor), with the bound
+    front sup mass, or front sup moment ||A^{-1/2}||_2 / sqrt(t) for the
+    gradient; otherwise the full rule runs, with bound 0.
     """
-    ndim, mean, scale, log_mass, front, grad_scale = frame
+    center, precision, ndim, mean, scale, log_mass, front, grad_scale = frame
+    if precision == 0.0 and math.isfinite(sup):
+        xi, w, mass, moment = pruned_hermite_tensor(order, kernel.n)
+    else:
+        (xi, w), mass, moment = hermite_tensor(order, kernel.n), 0.0, 0.0
     vecs = kernel.dec.eigenvectors
-    xi, w = hermite_tensor(order, kernel.n)
-    off = mean + scale * xi
-    # exp(|y - c|^2 / (4 spread)) C undoes the data's factor at every node
-    rest = np.exp((off * off).sum(-1) / (4.0 * spread) + log_mass)
-    vals = w * rest * data((off @ vecs.T + center).reshape(-1, kernel.n)).reshape(rest.shape)
+    if precision:
+        off = mean + scale * xi
+        # exp(q |y - c|^2) C undoes the data's factor at every node (at q = 0 both are 1)
+        w = w * np.exp(precision * (off * off).sum(-1) + log_mass)
+        nodes = off @ vecs.T + center
+    else:
+        # the same nodes y = c + Q (mean + scale xi), with one pass over the large rule
+        nodes = xi @ (scale.swapaxes(1, 2) * vecs.T) + (mean @ vecs.T + center)
+    vals = w * data(nodes.reshape(-1, kernel.n)).reshape(nodes.shape[:-1])
     if want_gradient:
-        # A^{-1}(x + t b - y) / (2 t) in the eigenbasis
-        vec = mean / (2.0 * spread) - grad_scale * xi
-        grad = -front * (np.einsum("ki,kij->kj", vals, vec) @ vecs.T)
-        return (grad, np.zeros(len(grad))) if ndim else (grad[0], 0.0)
-    value = front[:, 0] * vals.sum(1)
-    return (value, np.zeros(len(value))) if ndim else (float(value[0]), 0.0)
+        # A^{-1}(x + t b - y) / (2 t) in the eigenbasis is 2 q mean - grad_scale xi; node k
+        # and node N-1-k are negatives, so the xi part sums xi (v(xi) - v(-xi)) over pairs
+        half = len(xi) // 2
+        pairs = (vals[:, :half] - vals[:, :-half - 1:-1]) @ xi[:half]
+        shift = (2.0 * precision) * mean[:, 0] * vals.sum(1, keepdims=True)
+        out = (front * (grad_scale[:, 0] * pairs - shift)) @ vecs.T
+    else:
+        out = front[:, 0] * vals.sum(1)
+    dropped = np.zeros(len(out))
+    if mass:
+        # sup|phi| times the dropped weight; the gradient's |xi| ||A^{-1/2}||_2 / sqrt(t) on top
+        dropped = front[:, 0] * sup * (moment * grad_scale.max(-1)[:, 0] if want_gradient else mass)
+    if ndim:
+        return out, dropped
+    return (out[0] if want_gradient else float(out[0])), float(dropped[0])
 
 
 def _constant_pass(kernel, value, t, key, want_gradient):
@@ -509,21 +487,20 @@ def _panel_pass_1d(kernel, data, x, t, edges, order, want_gradient):
     return float(weights @ (kernel.value(args, t) * vals)), 0.0
 
 
-def _escalation_orders(start: int, dim: int):
-    """Hermite orders to try: start, then doublings up to 256 within the node budget."""
-    orders = [start]
-    order = start
-    while order < 256 and (2 * order) ** dim <= _MAX_TENSOR_NODES:
-        order *= 2
-        orders.append(order)
-    return orders
+@lru_cache(maxsize=None)
+def _hermite_keys(start: int, dim: int):
+    """The Hermite ladder: a comparison order below start, then start doubled up to 256
+    within the node budget."""
+    orders = [max(start // 2, start - 16), start]
+    while orders[-1] < 256 and (2 * orders[-1]) ** dim <= _MAX_TENSOR_NODES:
+        orders.append(2 * orders[-1])
+    return tuple(orders)
 
 
-def _coarse_order(order: int) -> int:
-    """Order of the comparison rule for an error estimate; always below order."""
-    return max(order // 2, order - 16)
-
-
+# Starting Gauss-Hermite orders: with a Gaussian factor the rule is exact from order 4;
+# other data starts at 64, since orders 4 and 8 can both miss a narrow feature and agree
+_FACTOR_START_ORDER = 8
+_KERNEL_START_ORDER = 64
 # (Gauss-Legendre order, split of every panel) of the box rule, coarse first
 _BOX_RULES = ((8, 1), (12, 1), (12, 2))
 # Gauss-Legendre orders of the kink panels, coarse first
@@ -539,37 +516,33 @@ def _closed(result):
     return (lambda key: result), _CLOSED_FORM
 
 
-def _route(kernel, data, x, t, quad, want_gradient, sup):
+def _route(kernel, data, x, t, want_gradient, sup):
     """The rule for the integral of G(x - y, t) phi(y) over y that the data picks.
 
     Returns (rule, keys): rule(key) gives the integral and a bound on what
     the rule leaves out; keys[0] names the coarse comparison rule and
     keys[1:] the ladder an unmet error estimate climbs. Data with a
-    Gaussian factor takes the product frame, constant data its closed
-    form, box data its Gaussian box probability (_box_1d, _box_route), grid
-    data its cells, n = 1 data with kinks the kink panels and everything
-    else the kernel frame. A box probability that needs no rule (n = 1, a
-    box that clips at most one axis, the gradient of one that clips two)
-    is computed here, once, under the key _CLOSED_FORM. An array t
-    (several kernel times) gives results stacked by time; the product
-    frame, constant data and n = 1 boxes take all times in one call.
+    Gaussian factor takes _hermite_pass in the frame of its product with
+    the kernel, constant data its closed form, box data its Gaussian box
+    probability (_box_1d, _box_route), grid data its cells, n = 1 data with
+    kinks the kink panels and everything else _hermite_pass in the
+    kernel's own frame (q = 0). A box probability that needs no rule (n =
+    1, a box that clips at most one axis, the gradient of one that clips
+    two) is computed here, once, under the key _CLOSED_FORM. An array t
+    (several kernel times) gives results stacked by time; data with a
+    Gaussian factor, constant data and n = 1 boxes take all times in one
+    call.
     """
     factor = data.gaussian_factor()
     if factor is not None:
-        # an explicit kernel-frame order numpy cannot build fails every Hermite route
-        _check_hermite_order(quad.hermite_order)
-        center, spread = np.asarray(factor[0]), factor[1]
-        frame = _product_frame(kernel, x, t, center, spread)
-        keys = [_coarse_order(8)] + _escalation_orders(8, kernel.n)
-        return partial(_product_pass, kernel, data, center, spread, frame,
-                       want_gradient=want_gradient), keys
-    if isinstance(data, ConstantData):
+        center, precision, start = np.asarray(factor[0]), 0.25 / factor[1], _FACTOR_START_ORDER
+    elif isinstance(data, ConstantData):
         return partial(_constant_pass, kernel, data.value, t,
                        want_gradient=want_gradient), _CLOSED_FORM
-    if isinstance(data, BoxIndicator) and data.n == 1:
+    elif isinstance(data, BoxIndicator) and data.n == 1:
         return _closed(_box_1d(kernel, data, x, t, want_gradient))
-    if np.ndim(t):
-        routes = [_route(kernel, data, x, s, quad, want_gradient, sup) for s in t]
+    elif np.ndim(t):
+        routes = [_route(kernel, data, x, s, want_gradient, sup) for s in t]
 
         def stacked(key):
             parts = [rule(key) for rule, _ in routes]
@@ -578,15 +551,18 @@ def _route(kernel, data, x, t, quad, want_gradient, sup):
         # a closed form takes any key, so the ladder is that of the other times
         keys = next((keys for _, keys in routes if keys is not _CLOSED_FORM), _CLOSED_FORM)
         return stacked, keys
-    if isinstance(data, BoxIndicator):
+    elif isinstance(data, BoxIndicator):
         return _box_route(kernel, data, x, t, want_gradient)
-    if isinstance(data, GridData):
+    elif isinstance(data, GridData):
         return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
-    if kernel.n == 1 and data.kinks_1d():
+    elif kernel.n == 1 and data.kinks_1d():
         return partial(_panel_pass_1d, kernel, data, x, t, _kink_edges(kernel, data, x, t),
                        want_gradient=want_gradient), _KINK_RULES
-    keys = [_coarse_order(quad.hermite_order)] + _escalation_orders(quad.hermite_order, kernel.n)
-    return partial(_hermite_pass, kernel, data, x, t, want_gradient=want_gradient, sup=sup), keys
+    else:
+        # the kernel's own frame
+        center, precision, start = np.zeros(kernel.n), 0.0, _KERNEL_START_ORDER
+    return (partial(_hermite_pass, kernel, data, _product_frame(kernel, x, t, center, precision),
+                    want_gradient=want_gradient, sup=sup), _hermite_keys(start, kernel.n))
 
 
 def _magnitude(v) -> float:
@@ -629,15 +605,15 @@ class _SigmaPanel:
     what the rules leave out, both stacked by node.
     """
 
-    def __init__(self, kernel, forcing, x, t, quad, want_gradient, sup, a, b):
+    def __init__(self, kernel, forcing, x, t, want_gradient, sup, a, b):
         self.ends = (a, b)
         half = 0.5 * (b - a)
         sigmas = (a + half) + half * GK15_NODES
         times = sigmas * sigmas
         if isinstance(forcing, TimeInvariantForcing):
-            self.routes = [_route(kernel, forcing.profile, x, times, quad, want_gradient, sup)]
+            self.routes = [_route(kernel, forcing.profile, x, times, want_gradient, sup)]
         else:
-            self.routes = [_route(kernel, _Slice(forcing, t - s), x, s, quad, want_gradient, sup)
+            self.routes = [_route(kernel, _Slice(forcing, t - s), x, s, want_gradient, sup)
                            for s in times]
         self.depth = max(len(keys) for _, keys in self.routes)
         self.kronrod = 2.0 * half * sigmas * GK15_WEIGHTS
@@ -679,7 +655,7 @@ def _duhamel(kernel, forcing, x, t, quad, want_gradient, sup, bound):
     part alone misses on the last key, or at _MAX_SIGMA_PANELS panels, is
     left to the caller to raise.
     """
-    panel = partial(_SigmaPanel, kernel, forcing, x, t, quad, want_gradient, sup)
+    panel = partial(_SigmaPanel, kernel, forcing, x, t, want_gradient, sup)
     edges = math.sqrt(t) * _SIGMA_EDGES
     panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
     k = 1
@@ -730,7 +706,7 @@ def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
         if nonhom:
             value, est = _duhamel(kernel, data, x, t, quad, want_gradient, sup, bound)
         else:
-            rule, keys = _route(kernel, data, x, t, quad, want_gradient, sup)
+            rule, keys = _route(kernel, data, x, t, want_gradient, sup)
             value, _ = rule(keys[0])
             est = math.inf
             for key in keys[1:]:

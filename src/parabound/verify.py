@@ -125,8 +125,7 @@ def _directional_kink_frame(kernel: FundamentalSolution, direction: np.ndarray, 
     return q_rot, shift, chol
 
 
-def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direction,
-                               t, quad: QuadratureConfig = DEFAULT_QUADRATURE):
+def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direction, t):
     """Integral over R^n of |(grad G(y, t), l)|^{p'} dy, by quadrature.
 
     The outer variable runs along the direction where the integrand
@@ -146,7 +145,7 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
         out = _grad_power_integral_1d(kernel, p_conj, ell, np.atleast_1d(t))
         return out if np.ndim(t) else float(out[0])
     if np.ndim(t):
-        return np.array([kernel_grad_power_integral(kernel, p_conj, ell, s, quad) for s in t])
+        return np.array([kernel_grad_power_integral(kernel, p_conj, ell, s) for s in t])
     q_rot, shift, chol = _directional_kink_frame(kernel, ell, t)
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
     radius = TRUNCATION_RADIUS * sigma
@@ -194,10 +193,9 @@ def _grad_power_integral_1d(kernel, p_conj, ell, t):
     return sigma * (vals.reshape(pts.shape) @ w)
 
 
-def kernel_grad_norm_oracle(kernel, p_conj, direction, t,
-                            quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def kernel_grad_norm_oracle(kernel, p_conj, direction, t) -> float:
     """L^{p'} norm over R^n of the directional kernel gradient."""
-    return kernel_grad_power_integral(kernel, p_conj, direction, t, quad) ** (1.0 / p_conj)
+    return kernel_grad_power_integral(kernel, p_conj, direction, t) ** (1.0 / p_conj)
 
 
 def _spacetime_power_integral(kernel, p_conj, t, integrand_power):
@@ -223,14 +221,13 @@ def _spacetime_power_integral(kernel, p_conj, t, integrand_power):
     return float((v_weights * power * v_nodes ** (power - 1.0)) @ integrand_power(eta))
 
 
-def spacetime_grad_norm_oracle(kernel, p_conj, direction, t,
-                               quad: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def spacetime_grad_norm_oracle(kernel, p_conj, direction, t) -> float:
     """L^{p'} norm over R^n x (0, t) of the directional kernel gradient."""
     if kernel.n > 2:
         raise UnsupportedData("spacetime gradient norm oracle supports n <= 2")
 
     def spatial(eta):
-        return kernel_grad_power_integral(kernel, p_conj, direction, eta, quad)
+        return kernel_grad_power_integral(kernel, p_conj, direction, eta)
 
     total = _spacetime_power_integral(kernel, p_conj, t, spatial)
     return total ** (1.0 / p_conj)
@@ -269,14 +266,19 @@ class ExtremalTarget:
 
 
 def _extremal_profile(kernel, target: ExtremalTarget, normalizer: float, pts, eta):
-    """-sign(k) |k|^{p'-1} / Z with k(y) = (grad G(x0 - y, eta), l).
+    """_extremal_values at the points y, with k(y) = (grad G(x0 - y, eta), l)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    ell = np.asarray(target.direction)
+    k = kernel.gradient(np.asarray(target.x0)[None, :] - pts, eta) @ ell
+    return _extremal_values(target, normalizer, k)
+
+
+def _extremal_values(target: ExtremalTarget, normalizer: float, k):
+    """-sign(k) |k|^{p'-1} / Z of the directional kernel gradients k.
 
     For p = inf the power drops out: -sign(k), or -tanh(k / mollify) when
     mollified.
     """
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    ell = np.asarray(target.direction)
-    k = kernel.gradient(np.asarray(target.x0)[None, :] - pts, eta) @ ell
     if target.p == math.inf:
         if target.mollify > 0:
             return -np.tanh(k / target.mollify)
@@ -335,13 +337,12 @@ class ExtremalInitialData(SourceFunction):
         return float(w @ vals) ** (1.0 / p)
 
 
-def extremal_initial_data(kernel, target: ExtremalTarget,
-                          quad: QuadratureConfig = DEFAULT_QUADRATURE) -> ExtremalInitialData:
+def extremal_initial_data(kernel, target: ExtremalTarget) -> ExtremalInitialData:
     """Build the (unit L^p norm) extremal initial data for a target."""
     if target.p == math.inf:
         return ExtremalInitialData(kernel, target, normalizer=1.0)
     pc = conjugate_exponent(target.p)
-    power = kernel_grad_power_integral(kernel, pc, target.direction, target.t0, quad)
+    power = kernel_grad_power_integral(kernel, pc, target.direction, target.t0)
     return ExtremalInitialData(kernel, target, normalizer=power ** (1.0 / target.p))
 
 
@@ -351,7 +352,7 @@ def attainment_ratio_hom(kernel, target: ExtremalTarget,
 
     Equals 1 up to quadrature error; strictly below 1 for any other data.
     """
-    data = extremal_initial_data(kernel, target, quad)
+    data = extremal_initial_data(kernel, target)
     ell = np.asarray(target.direction)
     grad = gradient_homogeneous(kernel, data, np.asarray(target.x0), target.t0, quad)
     coeff = sharp_coefficient_hom(kernel, target.p, target.t0, ell).value
@@ -375,19 +376,12 @@ class ExtremalForcing(SpaceTimeSource):
         self.normalizer = normalizer
         self.n = kernel.n
 
-    def kernel_time_profile(self, pts, eta):
-        """Forcing values at kernel time eta = t0 - tau, passed exactly.
-
-        Avoids the tau = t0 - eta -> eta float round trip, whose relative
-        error eps t0 / eta ruins the singular small-eta region.
-        """
-        return _extremal_profile(self.kernel, self.target, self.normalizer, pts, eta)
-
     def __call__(self, pts, tau):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if tau >= self.target.t0:
             return np.zeros(pts.shape[0])
-        return self.kernel_time_profile(pts, self.target.t0 - tau)
+        eta = self.target.t0 - tau
+        return _extremal_profile(self.kernel, self.target, self.normalizer, pts, eta)
 
     def spatial_kinks(self, tau):
         if self.n != 1 or tau >= self.target.t0:
@@ -409,8 +403,7 @@ class ExtremalForcing(SpaceTimeSource):
         return math.inf  # |k|^{p'-1} is unbounded as tau -> t0
 
 
-def extremal_forcing(kernel, target: ExtremalTarget,
-                     quad: QuadratureConfig = DEFAULT_QUADRATURE) -> ExtremalForcing:
+def extremal_forcing(kernel, target: ExtremalTarget) -> ExtremalForcing:
     """Build the extremal forcing (unit space-time L^p norm) for a target."""
     if target.p == math.inf:
         return ExtremalForcing(kernel, target, normalizer=1.0)
@@ -420,7 +413,7 @@ def extremal_forcing(kernel, target: ExtremalTarget,
     pc = conjugate_exponent(target.p)
     power = _spacetime_power_integral(
         kernel, pc, target.t0,
-        lambda eta: kernel_grad_power_integral(kernel, pc, target.direction, eta, quad),
+        lambda eta: kernel_grad_power_integral(kernel, pc, target.direction, eta),
     )
     return ExtremalForcing(kernel, target, normalizer=power ** (1.0 / target.p))
 
@@ -436,24 +429,23 @@ def attainment_ratio_nonhom(kernel, target: ExtremalTarget,
     if kernel.n != 1:
         raise UnsupportedData("nonhomogeneous attainment implemented for n = 1")
     ell = np.asarray(target.direction)
-    forcing = extremal_forcing(kernel, target, quad)
+    forcing = extremal_forcing(kernel, target)
     coeff = sharp_coefficient_nonhom(kernel, target.p, target.t0, ell).value
     if target.p == math.inf:
         grad = gradient_nonhomogeneous(kernel, forcing, np.asarray(target.x0), target.t0, quad)
         return float(abs(grad @ ell) / (coeff * forcing.lp_norm(math.inf, target.t0)))
     pc = conjugate_exponent(target.p)
-    x0 = np.asarray(target.x0)
 
     nodes, w = _window_rule()
 
     def spatial(eta):
+        # the offsets x0 - y of the nodes y = x0 + eta b + sigma z, formed directly: at
+        # eta ~ 1e-20 the window is ~1e-10 wide, and y itself would round to ulp(x0)
         sigma = 2.0 * np.sqrt(eta * float(kernel.dec.eigenvalues[-1]))
-        center = x0[0] + eta * kernel.spec.drift[0]
-        pts = (np.outer(sigma, nodes) + center[:, None]).reshape(-1, 1)
-        times = np.repeat(eta, nodes.size)
-        k_vals = kernel.gradient(x0[None, :] - pts, times) @ ell
-        f_vals = forcing.kernel_time_profile(pts, times)
-        return sigma * ((k_vals * f_vals).reshape(eta.size, nodes.size) @ w)
+        offsets = -(np.outer(sigma, nodes) + (eta * kernel.spec.drift[0])[:, None])
+        k_vals = kernel.gradient(offsets.reshape(-1, 1), np.repeat(eta, nodes.size)) @ ell
+        f_vals = _extremal_values(target, forcing.normalizer, k_vals)
+        return sigma * ((k_vals * f_vals).reshape(offsets.shape) @ w)
 
     integral = _spacetime_power_integral(kernel, pc, target.t0, spatial)
     return float(abs(integral) / (coeff * forcing.lp_norm(target.p, target.t0)))
@@ -502,7 +494,6 @@ def make_report(check, closed_form, oracle, tolerance, ratio=None, ratio_floor=N
 
 
 def b_invariance_check(kernel_zero_drift, kernel_with_drift, query: BoundQuery,
-                       quad: QuadratureConfig = DEFAULT_QUADRATURE,
                        tolerance: float = 1e-8) -> VerificationReport:
     """Drift must not enter the bounds: closed-form constants bitwise
     equal across drift vectors, quadrature norms equal within tolerance
@@ -512,11 +503,11 @@ def b_invariance_check(kernel_zero_drift, kernel_with_drift, query: BoundQuery,
     ell = np.asarray(query.direction)
     pc = conjugate_exponent(query.p)
     if query.kind == "hom":
-        o0 = kernel_grad_norm_oracle(kernel_zero_drift, pc, ell, query.t, quad)
-        ob = kernel_grad_norm_oracle(kernel_with_drift, pc, ell, query.t, quad)
+        o0 = kernel_grad_norm_oracle(kernel_zero_drift, pc, ell, query.t)
+        ob = kernel_grad_norm_oracle(kernel_with_drift, pc, ell, query.t)
     else:
-        o0 = spacetime_grad_norm_oracle(kernel_zero_drift, pc, ell, query.t, quad)
-        ob = spacetime_grad_norm_oracle(kernel_with_drift, pc, ell, query.t, quad)
+        o0 = spacetime_grad_norm_oracle(kernel_zero_drift, pc, ell, query.t)
+        ob = spacetime_grad_norm_oracle(kernel_with_drift, pc, ell, query.t)
     report = make_report("b_invariance", o0, ob, tolerance,
                          config={"constants_bitwise_equal": c0 == cb})
     report.passed = report.passed and c0 == cb
@@ -622,15 +613,15 @@ def sphere_surface_oracle(n: int, p_conj: float, v) -> float:
     raise UnsupportedData("surface oracle implemented for n in {2, 3}")
 
 
-def _duality_hom_check(kernel, p, t, ell, quad, perturb):
+def _duality_hom_check(kernel, p, t, ell, perturb):
     cf = sharp_coefficient_hom(kernel, p, t, ell).value * (1.0 + perturb)
-    oracle = kernel_grad_norm_oracle(kernel, conjugate_exponent(p), ell, t, quad)
+    oracle = kernel_grad_norm_oracle(kernel, conjugate_exponent(p), ell, t)
     return make_report("duality", cf, oracle, 1e-6)
 
 
-def _duality_nonhom_check(kernel, p, t, ell, quad, perturb):
+def _duality_nonhom_check(kernel, p, t, ell, perturb):
     cf = sharp_coefficient_nonhom(kernel, p, t, ell).value * (1.0 + perturb)
-    oracle = spacetime_grad_norm_oracle(kernel, conjugate_exponent(p), ell, t, quad)
+    oracle = spacetime_grad_norm_oracle(kernel, conjugate_exponent(p), ell, t)
     return make_report("duality", cf, oracle, 1e-5)
 
 
@@ -683,7 +674,7 @@ def default_checks(seed: int = 20250810, perturb: float = 0.0,
             add(
                 f"duality_hom/n{n}/p{tag}",
                 lambda kernel=kernel, p=p, t=t, ell=ell: _duality_hom_check(
-                    kernel, p, t, ell, quad, perturb
+                    kernel, p, t, ell, perturb
                 ),
             )
 
@@ -694,7 +685,7 @@ def default_checks(seed: int = 20250810, perturb: float = 0.0,
         add(
             f"duality_nonhom/p{p:g}",
             lambda kernel=kernel, p=p, t=t: _duality_nonhom_check(
-                kernel, p, t, np.array([1.0]), quad, perturb
+                kernel, p, t, np.array([1.0]), perturb
             ),
         )
 
@@ -707,7 +698,7 @@ def default_checks(seed: int = 20250810, perturb: float = 0.0,
             "duality",
             sharp_coefficient_nonhom(kernel_ci, math.inf, t_ci, np.array([1.0])).value
             * (1.0 + perturb),
-            spacetime_grad_norm_oracle(kernel_ci, 1.0, np.array([1.0]), t_ci, quad),
+            spacetime_grad_norm_oracle(kernel_ci, 1.0, np.array([1.0]), t_ci),
             1e-10,
         ),
     )
@@ -820,7 +811,7 @@ def default_checks(seed: int = 20250810, perturb: float = 0.0,
         add(
             f"b_invariance/{kind}",
             lambda spec0=spec0, spec_b=spec_b, query=query: b_invariance_check(
-                FundamentalSolution(spec0), FundamentalSolution(spec_b), query, quad
+                FundamentalSolution(spec0), FundamentalSolution(spec_b), query
             ),
         )
 

@@ -279,15 +279,15 @@ def test_criterion_10_cli_round_trip(tmp_path):
     bad.write_text("{broken")
     ok &= cli.main(["constant", "--spec", str(bad), "--kind", "hom", "--p", "2",
                     "--t", "1", "--dir", "1"]) == 2
-    # numpy cannot build the order-400 Hermite rule: quadrature failure
-    ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "hom",
+    # no rule meets a target below roundoff: quadrature failure
+    ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "nonhom",
                     "--data", "gaussian:spread=1", "--points", "0,1",
-                    "--quad-order", "400"]) == 4
+                    "--target-rel-err", "1e-300"]) == 4
     # the spread-2e-5 spike answers, at the Gaussian closed form
     spike = tmp_path / "spike.csv"
     ok &= cli.main(["solve", "--spec", str(spec_path), "--kind", "hom",
                     "--data", "gaussian:spread=0.00002", "--points", "0,1",
-                    "--quad-order", "8", "--out", str(spike)]) == 0
+                    "--out", str(spike)]) == 0
     u_spike = float(spike.read_text().splitlines()[-1].split(",")[2])
     ok &= abs(u_spike - math.sqrt(2e-5 / 1.00002)) <= 1e-8 * math.sqrt(2e-5 / 1.00002)
     ok &= cli.main(["verify", "--check", "duality_hom/n1/*",

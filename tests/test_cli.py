@@ -270,7 +270,7 @@ class TestSolveCommand:
                   "--data", "gaussian:center=0,spread=0.3", "--points", "0.5,2"]
 
     def test_hom_quad_order_8_has_error_control(self, capsys):
-        # the comparison rule sits below order 8, so the first estimate is not 0
+        # --quad-order is accepted and ignored; the answer keeps its error control
         assert run_cli(self.FOUND_ARGV + ["--kind", "hom", "--quad-order", "8"]) == 0
         u = float(capsys.readouterr().out.splitlines()[2].split(",")[2])
         exact = math.sqrt(0.3 / 2.3) * math.exp(-0.25 / 9.2)
@@ -316,10 +316,10 @@ class TestSolveCommand:
         grid_path = tmp_path / "data.pbgr"
         write_grid(grid_path, GridData([xs[0]], [h], np.exp(-(xs**2) / 2)))
         out = tmp_path / "grid.csv"
-        # numpy cannot build the order-400 Hermite rule: quadrature failure
-        code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
+        # a target below roundoff: quadrature failure
+        code = run_cli(["solve", "--spec", spec_path, "--kind", "nonhom",
                         "--data", "gaussian:spread=1", "--points", "0,1",
-                        "--quad-order", "400", "--out", str(out)])
+                        "--target-rel-err", "1e-300", "--out", str(out)])
         assert code == 4
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
                         "--data", f"grid:{grid_path}", "--points", "0.3,1", "--out", str(out)])
@@ -364,18 +364,31 @@ class TestSolveCommand:
         assert len(out.read_text().splitlines()) == 4
 
     def test_exit_4_on_unresolvable_data(self, spec_path, tmp_path, capsys):
-        # numpy cannot build the order-400 Hermite rule
-        code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
-                        "--data", "gaussian:spread=1", "--points", "0,1", "--quad-order", "400"])
+        # no rule meets a target below roundoff
+        code = run_cli(["solve", "--spec", spec_path, "--kind", "nonhom",
+                        "--data", "gaussian:spread=1", "--points", "0,1",
+                        "--target-rel-err", "1e-300"])
         assert code == 4
         # a spike of spread 2e-5 is integrated in the product frame and answers
         code = run_cli(["solve", "--spec", spec_path, "--kind", "hom",
-                        "--data", "gaussian:spread=0.00002", "--points", "0,1",
-                        "--quad-order", "8"])
+                        "--data", "gaussian:spread=0.00002", "--points", "0,1"])
         assert code == 0
         u = float(capsys.readouterr().out.splitlines()[-1].split(",")[2])
         exact = math.sqrt(2e-5 / (2e-5 + 1.0))
         assert abs(u - exact) <= 1e-8 * exact
+
+    @pytest.mark.parametrize("kind", ["hom", "nonhom"])
+    @pytest.mark.parametrize("data", ["gaussian:spread=0.3,center=0.1",
+                                      "polygauss:spread=0.5,powers=2",
+                                      "box:lo=-1,hi=0.5", "constant:value=2"])
+    def test_quad_order_is_ignored(self, spec_path, tmp_path, kind, data):
+        # accepted so that old command lines run, and neither used nor recorded
+        argv = ["solve", "--spec", spec_path, "--kind", kind, "--data", data,
+                "--points", "0.5,2;-0.2,0.3"]
+        plain, flagged = tmp_path / "plain.csv", tmp_path / "flagged.csv"
+        assert run_cli(argv + ["--out", str(plain)]) == 0
+        assert run_cli(argv + ["--quad-order", "8", "--out", str(flagged)]) == 0
+        assert flagged.read_text() == plain.read_text().replace(str(plain), str(flagged))
 
 
 class TestVerifyCommand:
@@ -541,27 +554,6 @@ def test_jobs_start_no_thread(monkeypatch, spec_path, tmp_path):
     out = tmp_path / "sweep.csv"
     assert run_cli(["sweep", "--spec", spec_path, "--kind", "hom", "--p-grid", "2,inf",
                     "--t-grid", "0.5,1", "--max", "--jobs", "2", "--out", str(out)]) == 0
-
-
-class TestEnvOverride:
-    def test_quad_order_env(self, spec_path, tmp_path):
-        out = tmp_path / "env.json"
-        env = child_env()
-        env["PARABOUND_QUAD_ORDER"] = "32"
-        result = run_child(
-            ["-m", "parabound", "constant", "--spec", spec_path,
-             "--kind", "hom", "--p", "2", "--t", "1", "--dir", "1", "--out", str(out)],
-            env=env,
-        )
-        assert result.returncode == 0
-        assert json.loads(out.read_text())["manifest"]["quadrature"]["hermite_order"] == 32
-
-    def test_flag_beats_env(self, spec_path, tmp_path, monkeypatch):
-        monkeypatch.setenv("PARABOUND_QUAD_ORDER", "32")
-        out = tmp_path / "flag.json"
-        run_cli(["constant", "--spec", spec_path, "--kind", "hom", "--p", "2",
-                 "--t", "1", "--dir", "1", "--quad-order", "48", "--out", str(out)])
-        assert json.loads(out.read_text())["manifest"]["quadrature"]["hermite_order"] == 48
 
 
 @st.composite

@@ -29,11 +29,9 @@ ERF_HALF = 0.5204998778130465
 class TestQuadratureConfig:
     def test_defaults(self):
         q = sv.QuadratureConfig()
-        assert dataclasses.asdict(q) == {"hermite_order": 64, "target_rel_err": 1e-8}
+        assert dataclasses.asdict(q) == {"target_rel_err": 1e-8}
 
     def test_validation(self):
-        with pytest.raises(DomainError):
-            sv.QuadratureConfig(hermite_order=4)
         for target in (-1.0, 0.0, math.nan):
             with pytest.raises(DomainError):
                 sv.QuadratureConfig(target_rel_err=target)
@@ -253,9 +251,11 @@ class TestPrunedRule:
         _, _, mass, moment = sv.pruned_hermite_tensor(order, 2)
         assert mass > 0.0 and moment > 0.0
         front = math.exp(k.spec.reaction * t) / math.pi
-        _, bound = sv._hermite_pass(k, phi, x, t, order, False, 2.0)
+        # the kernel's own frame: precision 0, center 0
+        frame = sv._product_frame(k, x, t, np.zeros(2), 0.0)
+        _, bound = sv._hermite_pass(k, phi, frame, order, False, 2.0)
         assert bound == pytest.approx(front * 2.0 * mass, rel=1e-14, abs=0.0)
-        _, bound = sv._hermite_pass(k, phi, x, t, order, True, 2.0)
+        _, bound = sv._hermite_pass(k, phi, frame, order, True, 2.0)
         norm = 1.0 / math.sqrt(float(k.dec.eigenvalues[0]))
         expected = front / math.sqrt(t) * 2.0 * moment * norm
         assert bound == pytest.approx(expected, rel=1e-14, abs=0.0)
@@ -271,7 +271,8 @@ class TestPrunedRule:
         assert u == pytest.approx(gaussian_closed_form(k, data.inner, [0.2, 0.1], 0.5)[0],
                                   rel=1e-11)
         assert data.sizes == [48**2, 64**2]
-        value, bound = sv._hermite_pass(k, data, np.zeros(2), 0.5, 64, True, math.inf)
+        frame = sv._product_frame(k, np.zeros(2), 0.5, np.zeros(2), 0.0)
+        value, bound = sv._hermite_pass(k, data, frame, 64, True, math.inf)
         assert bound == 0.0 and np.all(np.isfinite(value))
 
     @pytest.mark.parametrize("n", [1, 2])
@@ -294,7 +295,7 @@ class TestPrunedRule:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_factor_takes_the_product_frame(self, n):
-        # orders _coarse_order(8) = 4 and 8 agree on polygauss data, so the
+        # orders 4 and 8 (the first two keys) agree on polygauss data, so the
         # ladder stops after them
         rng = np.random.default_rng(60 + n)
         k = random_kernel(rng, n)
@@ -458,18 +459,22 @@ class TestErrorPaths:
             sv.gradient_nonhomogeneous(k, box, [0.49, 0.2], 0.3)
 
     def test_low_start_order_escalates_past_four_rules(self):
-        # kernel frame: orders 16/32/64/128 leave an estimate of 3e-8; the
+        # the ladder doubles up to 256 however low it starts
+        assert sv._hermite_keys(16, 1) == (8, 16, 32, 64, 128, 256)
+        # kernel frame: orders 48/64/128 leave an estimate of 3e-8; the
         # ladder goes on to 256
-        quad = sv.QuadratureConfig(hermite_order=16)
+        quad = sv.DEFAULT_QUADRATURE
         phi = GaussianBump(center=(0.0,), spread=0.3)
-        u = sv.solve_homogeneous(HEAT_1D, _CountingSource(phi), [0.5], 2.0, quad)
+        data = _CountingSource(phi)
+        u = sv.solve_homogeneous(HEAT_1D, data, [0.5], 2.0, quad)
+        assert data.sizes[-1] == len(sv.pruned_hermite_tensor(256, 1)[1])
         exact = gaussian_closed_form(HEAT_1D, phi, [0.5], 2.0)[0]
         assert abs(u - exact) <= quad.target_rel_err * exact
 
     def test_quadrature_failure_on_underresolved_data(self):
         # in the kernel frame no rule up to order 256 resolves the bump
         narrow = GaussianBump(center=(0.0,), spread=0.01)
-        rough = sv.QuadratureConfig(hermite_order=8, target_rel_err=1e-10)
+        rough = sv.QuadratureConfig(target_rel_err=1e-10)
         with pytest.raises(QuadratureFailure):
             sv.solve_homogeneous(HEAT_1D, _CountingSource(narrow), [0.0], 1.0, rough)
         # the product frame integrates even a far sharper bump exactly
@@ -495,18 +500,6 @@ class TestErrorPaths:
         target = sv.DEFAULT_QUADRATURE.target_rel_err
         assert abs(u - u_ref) <= target * u_ref
         assert abs(grad[0] - grad_ref[0]) <= target * abs(grad_ref[0])
-
-    def test_duhamel_with_nan_weight_order_is_quadrature_failure(self):
-        # numpy's order-400 Hermite weights are NaN; the value must not be NaN or 0
-        quad = sv.QuadratureConfig(hermite_order=400)
-        gauss = TimeInvariantForcing(GaussianBump(center=(0.1,), spread=0.4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(QuadratureFailure):
-                sv.solve_nonhomogeneous(HEAT_1D, gauss, [0.0], 1.0, quad)
-        # the box route does not use the Hermite order
-        box = TimeInvariantForcing(BoxIndicator(lo=(-1.0,), hi=(1.0,)))
-        assert math.isfinite(sv.solve_nonhomogeneous(HEAT_1D, box, [0.0], 1.0, quad))
 
     def test_time_beyond_horizon(self):
         k = make_kernel([[1.0]], [0.0], 0.0, horizon=1.0)

@@ -212,6 +212,15 @@ class TestAttainmentNonhom:
         )
         assert 0.999 <= r <= 1.001
 
+    @pytest.mark.parametrize("x0", [0.3, 12.5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_finite_p_ratio_is_one_to_roundoff_far_from_the_origin(self, seed, x0):
+        # the oracle forms the offsets x0 - y itself, so its smallest-eta
+        # nodes (window ~1e-10 wide) do not round to ulp(x0)
+        k = FundamentalSolution(vf.random_problem(np.random.default_rng(seed), 1))
+        target = vf.ExtremalTarget(x0=(x0,), t0=0.8, p=4.0, direction=(1.0,))
+        assert abs(vf.attainment_ratio_nonhom(k, target) - 1.0) <= 1e-13
+
     def test_mollified_family_monotone(self):
         unit = FundamentalSolution(ProblemSpec(SpdMatrix([[1.0]]), np.zeros(1), 0.0, 8.0))
         ratios = [
