@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import (
     DivergentIntegral,
+    DomainError,
     ExponentTooSmall,
     FloatOverflow,
     ParaboundError,
@@ -302,6 +303,8 @@ def cmd_verify(args) -> int:
     checks = default_checks(seed=seed, perturb=args.perturb, quad=quad)
     if args.check:
         checks = [(name, fn) for name, fn in checks if fnmatch.fnmatch(name, args.check)]
+        if not checks:
+            raise DomainError(f"--check {args.check!r} matches no check")
     manifest = base_manifest(args, "verify", quad, spec=None)
     manifest.update(seed=seed, check=args.check, perturb=args.perturb, jobs=args.jobs)
     reports = run_checks(checks, jobs=args.jobs)

@@ -22,7 +22,6 @@ from .errors import (
     NotPositiveDefinite,
     QuadratureFailure,
 )
-from .quadrature import integrate_panels
 
 MAX_DIM = 8
 
@@ -305,38 +304,3 @@ def duhamel_time_integral(t: float, n: int, p_conj: float, c: float) -> float:
     if log_value > LOG_FLOAT_MAX:
         raise FloatOverflow(f"time integral e^{log_value:.6g} overflows float64")
     return math.exp(log_value)
-
-
-def duhamel_time_integral_quadrature(
-    t: float, n: int, p_conj: float, c: float, rel_tol: float = 1e-10
-) -> float:
-    """Quadrature path of the Duhamel time integral for any sign of c.
-
-    Substitutes tau = v^(1/(1-s)), which turns the integrand into the
-    bounded function e^(p' c tau(v)) / (1-s) on [0, t^(1-s)], and applies
-    graded Gauss-Legendre panels at two orders; raises QuadratureFailure
-    when they differ by more than rel_tol. Independent of the closed forms
-    it cross-checks.
-    """
-    s = _check_time_integral_args(t, n, p_conj)
-    power = 1.0 / (1.0 - s)
-    upper = t ** (1.0 - s)
-
-    # The indicator of [0, upper] has jumps at both ends, which are marked
-    # as kinks so the panels grade toward them: the integrand's boundary
-    # layer at the upper end is as thin as upper / (power p' |c| t).
-    def integrand(v):
-        inside = (v >= 0.0) & (v <= upper)
-        tau = np.clip(v, 0.0, upper) ** power
-        return np.where(inside, np.exp(p_conj * c * tau), 0.0) / (1.0 - s)
-
-    lo, hi = -0.5 * upper, 1.5 * upper
-    with np.errstate(over="ignore", invalid="ignore"):
-        value = integrate_panels(integrand, lo, hi, kinks=(0.0, upper))
-        coarse = integrate_panels(integrand, lo, hi, kinks=(0.0, upper), order=8)
-    err = abs(value - coarse)
-    if not (math.isfinite(value) and err <= rel_tol * abs(value)):
-        raise QuadratureFailure(
-            f"time-integral quadrature error {err:.3e} exceeds {rel_tol:.1e} relative"
-        )
-    return value

@@ -158,10 +158,3 @@ def panel_nodes(edges: np.ndarray, order: int = 12):
     nodes = (a + half * (x[None, :] + 1.0)).reshape(-1)
     weights = (half * w[None, :]).reshape(-1)
     return nodes, weights
-
-
-def integrate_panels(f, lo: float, hi: float, kinks=(), base_panels: int = 32,
-                     order: int = 12, levels: int = 44) -> float:
-    """Integrate a vectorized scalar function over [lo, hi] with grading."""
-    nodes, weights = panel_nodes(panel_edges(lo, hi, kinks, base_panels, levels), order)
-    return float(weights @ f(nodes))

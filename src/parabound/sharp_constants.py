@@ -27,6 +27,9 @@ quadrature. All powers are assembled in log space so large p or c t
 cannot overflow an intermediate factor (a value beyond the float64 range
 raises FloatOverflow), and the p = 1 / p = infinity branches are evaluated
 from their exact limit forms rather than by taking limits numerically.
+
+A direction is checked once per call: its length against n here, then its
+unit norm by BoundQuery, which keeps it as a tuple of Python floats.
 """
 
 from __future__ import annotations
@@ -57,6 +60,10 @@ HOMOGENEOUS = "hom"
 NONHOMOGENEOUS = "nonhom"
 
 _DIRECTION_NORM_TOL = 1e-12
+_LOG_2 = math.log(2.0)
+_LOG_PI = math.log(math.pi)
+_SQRT_PI = math.sqrt(math.pi)
+_GAMMA_FACTOR_P1 = math.exp(-0.5) / math.sqrt(2.0)
 
 
 def conjugate_exponent(p: float) -> float:
@@ -72,10 +79,11 @@ def conjugate_exponent(p: float) -> float:
 class BoundQuery:
     """One request for a sharp coefficient.
 
-    direction None means "maximize over unit directions". Finite
-    directions must be unit vectors. For the nonhomogeneous kind the
-    exponent must satisfy p > n + 2 (checked against the problem
-    dimension at evaluation time).
+    direction None means "maximize over unit directions". A given
+    direction must be a unit vector (|l|^2 within 2e-12 of 1); this is the
+    one place that checks it, and it is stored as a tuple of Python
+    floats. Its length is checked against the problem dimension at
+    evaluation time, as is p > n + 2 for the nonhomogeneous kind.
     """
 
     p: float
@@ -92,9 +100,9 @@ class BoundQuery:
             raise DomainError(f"unknown problem kind {self.kind!r}")
         if self.direction is not None:
             ell = np.asarray(self.direction, dtype=float)
-            if abs(float(ell @ ell) - 1.0) > 2.0 * _DIRECTION_NORM_TOL:
+            if not abs(float(ell.dot(ell)) - 1.0) <= 2.0 * _DIRECTION_NORM_TOL:
                 raise DomainError("direction must be a unit vector")
-            object.__setattr__(self, "direction", tuple(float(v) for v in ell))
+            object.__setattr__(self, "direction", tuple(ell.tolist()))
 
 
 @dataclass(frozen=True)
@@ -162,34 +170,12 @@ def radial_integral(n: int, p_conj: float, t: float) -> float:
     return 0.5 * (4.0 * t / p_conj) ** ((p_conj + n) / 2.0) * gamma((n + p_conj) / 2.0)
 
 
-def _direction_amplitude(kernel: FundamentalSolution, direction):
-    """|A^{-1/2} l| for a unit l, or (spectral norm, maximizer) for None."""
-    if direction is None:
-        amp = spectral_norm_inv_sqrt(kernel.dec)
-        maximizer = tuple(float(v) for v in kernel.dec.eigenvectors[:, 0])
-        return amp, maximizer
-    ell = np.asarray(direction, dtype=float).reshape(-1)
-    if ell.shape != (kernel.n,):
-        raise DomainError(f"direction length {ell.shape[0]} != n = {kernel.n}")
-    if abs(float(ell @ ell) - 1.0) > 2.0 * _DIRECTION_NORM_TOL:
-        raise DomainError("direction must be a unit vector")
-    return float(np.linalg.norm(kernel.inv_sqrt @ ell)), None
-
-
 def _check_time(kernel: FundamentalSolution, t: float) -> float:
     if not t > 0.0:
         raise NonpositiveTime(f"sharp coefficient requires t > 0, got {t}")
     if t > kernel.spec.horizon:
         raise DomainError(f"t = {t} beyond the problem horizon T = {kernel.spec.horizon}")
     return float(t)
-
-
-def _log_det_pi_brace(kernel: FundamentalSolution, p: float) -> float:
-    """-(1/p) log(2^n pi^{(n+p-1)/2} det A^{1/2})."""
-    n = kernel.n
-    return -(
-        n * math.log(2.0) + 0.5 * (n + p - 1.0) * math.log(math.pi) + math.log(kernel.det_sqrt)
-    ) / p
 
 
 def _assemble(prefactor: float, gamma_factor: float, log_time_factor: float):
@@ -213,27 +199,38 @@ def _assemble(prefactor: float, gamma_factor: float, log_time_factor: float):
 def _sharp_constant(kernel, p, t, direction, kind, log_time_factor) -> SharpConstant:
     """Direction amplitude, det/pi and Gamma braces, shared by K and C.
 
-    Only the (log) time factor differs between the two kinds.
+    Only the (log) time factor differs between the two kinds. The amplitude
+    is |A^{-1/2} l|, or for l = None the spectral norm with its maximizer.
     """
-    amp, maximizer = _direction_amplitude(kernel, direction)
+    if direction is None:
+        query = BoundQuery(p, t, kind)
+        amp = spectral_norm_inv_sqrt(kernel.dec)
+        maximizer = tuple(kernel.dec.eigenvectors[:, 0].tolist())
+    else:
+        ell = np.asarray(direction, dtype=float).ravel()
+        if ell.shape[0] != kernel.n:
+            raise DomainError(f"direction length {ell.shape[0]} != n = {kernel.n}")
+        query = BoundQuery(p, t, kind, ell)
+        v = kernel.inv_sqrt.dot(ell)
+        amp = math.sqrt(v.dot(v))
+        maximizer = None
     if p == math.inf:
-        prefactor = amp / math.sqrt(math.pi)
+        prefactor = amp / _SQRT_PI
         gamma_factor = 1.0
     else:
-        prefactor = amp * math.exp(_log_det_pi_brace(kernel, p))
+        # log of the det/pi brace 2^n pi^{(n+p-1)/2} det A^{1/2}, raised to -1/p below
+        n = kernel.n
+        log_brace = n * _LOG_2 + 0.5 * (n + p - 1.0) * _LOG_PI + math.log(kernel.det_sqrt)
+        prefactor = amp * math.exp(-log_brace / p)
         if p == 1.0:
             # Limit p' -> inf: sup norm of the directional kernel gradient.
-            gamma_factor = math.exp(-0.5) / math.sqrt(2.0)
+            gamma_factor = _GAMMA_FACTOR_P1
         else:
             pc = conjugate_exponent(p)
             gamma_factor = math.exp(
-                (log_gamma((pc + 1.0) / 2.0) - 0.5 * (kernel.n + pc) * math.log(pc)) / pc
+                (log_gamma((pc + 1.0) / 2.0) - 0.5 * (n + pc) * math.log(pc)) / pc
             )
     value, time_factor = _assemble(prefactor, gamma_factor, log_time_factor)
-    query = BoundQuery(
-        p=p, t=t, kind=kind,
-        direction=None if direction is None else tuple(np.asarray(direction, float)),
-    )
     return SharpConstant(value, prefactor, gamma_factor, time_factor, query, maximizer)
 
 

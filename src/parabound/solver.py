@@ -106,6 +106,9 @@ _MAX_TENSOR_NODES = 2**21
 # sigma = 0, where the kernel is narrowest; and the most panels bisection may reach
 _SIGMA_EDGES = np.array([0.0, 0.125, 0.25, 0.5, 1.0])
 _MAX_SIGMA_PANELS = 200
+# Edges in units of 1/sqrt|c| that a decaying reaction adds below the first edge: e^{c sigma^2}
+# confines the integrand to sigma of a few 1/sqrt|c|, and the last edge leaves e^{-64} beyond it
+_DECAY_EDGES = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
 
 
 @dataclass(frozen=True)
@@ -640,11 +643,24 @@ class _SigmaPanel:
         return kronrod, _magnitude(kronrod - self.gauss @ fine), change, self.kronrod @ dropped
 
 
+def _sigma_edges(t, c):
+    """The Duhamel rule's starting sigma edges, from the two scales it knows a priori.
+
+    They are sqrt(t) _SIGMA_EDGES, graded toward sigma = 0, and for c < 0 the
+    _DECAY_EDGES / sqrt|c| that lie below the first of them (none while |c| t <= 4).
+    """
+    fractions = _SIGMA_EDGES
+    if c < 0.0:
+        decay = _DECAY_EDGES / math.sqrt(-c * t)
+        fractions = np.concatenate(([0.0], decay[decay < fractions[1]], fractions[1:]))
+    return math.sqrt(t) * fractions
+
+
 def _duhamel(kernel, forcing, x, t, quad, want_gradient, sup, bound):
     """The Duhamel integral over sigma on (0, sqrt t), t - tau = sigma^2, by adaptive G7K15.
 
     Global adaptive bisection as in QUADPACK's QAG (Piessens et al. 1983):
-    from the panels _SIGMA_EDGES, the panel with the largest |K15 - G7|
+    from the panels between _sigma_edges, the panel with the largest |K15 - G7|
     is halved until the estimate meets target_rel_err times the tolerance
     scale. The estimate is the sum of |K15 - G7| over the panels, plus the
     spatial estimate: every node's rule runs at index k and k - 1 of its
@@ -656,7 +672,7 @@ def _duhamel(kernel, forcing, x, t, quad, want_gradient, sup, bound):
     left to the caller to raise.
     """
     panel = partial(_SigmaPanel, kernel, forcing, x, t, want_gradient, sup)
-    edges = math.sqrt(t) * _SIGMA_EDGES
+    edges = _sigma_edges(t, kernel.spec.reaction)
     panels = [panel(a, b) for a, b in zip(edges[:-1], edges[1:])]
     k = 1
     while True:

@@ -419,6 +419,12 @@ class TestVerifyCommand:
         assert run_cli(["verify", "--check", "mass/*", "--jobs", "4", "--out", str(out4)]) == 0
         assert numeric_lines(out1) == numeric_lines(out4)
 
+    def test_glob_matching_no_check_is_input_error(self, tmp_path, capsys):
+        out = tmp_path / "none.jsonl"
+        assert run_cli(["verify", "--check", "nosuch", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --check 'nosuch' matches no check\n"
+        assert not out.exists()
+
 
 class TestSweepCommand:
     def test_reference_row_and_time_power_law(self, spec_path, tmp_path):

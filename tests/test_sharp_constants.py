@@ -5,7 +5,9 @@ Gaussian-moment reductions for the norm oracles and direct quadrature for
 the sphere/radial integrals.
 """
 
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +26,26 @@ from parabound.mathcore import duhamel_time_integral
 from .test_kernel import HEAT_1D, make_kernel, random_kernel
 
 INF = math.inf
+
+# A = diag(FROZEN_DIAG[:n]): powers of 4, so that A^{-1/2}, det A^{1/2} and the
+# amplitudes of the dyadic FROZEN_DIRECTIONS are exact and only exp, log and
+# lgamma round.
+FROZEN_DIAG = [1.0, 4.0, 0.25, 16.0, 0.0625, 64.0, 1.0 / 256.0, 256.0]
+FROZEN_DIRECTIONS = {
+    1: (-1.0,),
+    2: (0.0, -1.0),
+    3: (0.0, 1.0, 0.0),
+    4: (0.5, -0.5, 0.5, 0.5),
+    5: (0.5, 0.5, -0.5, 0.0, 0.5),
+    6: (0.0, 0.5, 0.5, 0.5, 0.0, -0.5),
+    7: (0.5, 0.0, 0.5, 0.0, -0.5, 0.0, 0.5),
+    8: (0.0, 0.5, 0.0, 0.5, 0.0, -0.5, 0.5, 0.0),
+}
+FROZEN_T = 0.7
+# One row per (kind, n, c, p) at t = FROZEN_T: gamma_factor, time_factor, then
+# (prefactor, value) for FROZEN_DIRECTIONS[n] and for the maximum over directions.
+with open(os.path.join(os.path.dirname(__file__), "sharp_constants_table.json")) as _fh:
+    FROZEN_TABLE = json.load(_fh)
 
 
 class TestSphereIntegral:
@@ -273,6 +295,77 @@ class TestNonhomogeneousCoefficient:
         assert abs(v_large - v_inf) <= 1e-3 * v_inf
 
 
+class TestFrozenTable:
+    """K and C for n = 1..8, c of both signs, given and maximizing directions.
+
+    Every field is compared with ==: the one checked path for a direction
+    must leave value, factors, query and maximizer unchanged to the bit.
+    """
+
+    @pytest.mark.parametrize("row", FROZEN_TABLE, ids=lambda r: f"{r[0]}-n{r[1]}-c{r[2]}-p{r[3]}")
+    def test_every_field_is_bitwise_frozen(self, row):
+        kind, n, c, p_text, gamma_factor, time_factor, dir_pre, dir_value, max_pre, max_value = row
+        p = INF if p_text == "inf" else p_text
+        k = make_kernel(np.diag(FROZEN_DIAG[:n]), np.zeros(n), c)
+        fn = sc.sharp_coefficient_hom if kind == "hom" else sc.sharp_coefficient_nonhom
+        direction = FROZEN_DIRECTIONS[n]
+        # the eigenvector of the smallest eigenvalue, with its canonical positive sign
+        axis = tuple(1.0 if i == int(np.argmin(FROZEN_DIAG[:n])) else 0.0 for i in range(n))
+        for given, prefactor, value in ((direction, dir_pre, dir_value), (None, max_pre, max_value)):
+            s = fn(k, p, FROZEN_T, None if given is None else np.array(given))
+            assert s.value == value
+            assert s.factors() == {"prefactor": prefactor, "gamma_factor": gamma_factor,
+                                   "time_factor": time_factor}
+            assert s.query == sc.BoundQuery(p=p, t=FROZEN_T, kind=kind, direction=given)
+            if given is None:
+                assert s.query.direction is None
+                assert s.maximizing_direction == axis
+                assert all(type(v) is float for v in s.maximizing_direction)
+            else:
+                assert s.query.direction == given
+                assert all(type(v) is float for v in s.query.direction)
+                assert s.maximizing_direction is None
+
+
+class TestInvalidInput:
+    """Each invalid input raises one type with one message, checked in a fixed order:
+    t, then p, then the direction's length, then its norm."""
+
+    K2 = make_kernel(np.diag([1.0, 4.0]), [0.0, 0.0], 0.5)
+
+    @pytest.mark.parametrize("kind, p, t, direction, error, message", [
+        ("hom", 2.0, 1.0, (1.0,), DomainError, "direction length 1 != n = 2"),
+        ("hom", 2.0, 1.0, (1.0, 0.0, 0.0), DomainError, "direction length 3 != n = 2"),
+        ("nonhom", 5.0, 1.0, (0.0,), DomainError, "direction length 1 != n = 2"),
+        ("hom", 2.0, 1.0, (0.6, 0.7), DomainError, "direction must be a unit vector"),
+        ("nonhom", 5.0, 1.0, (1.0, 1e-5), DomainError, "direction must be a unit vector"),
+        ("hom", 2.0, 1.0, (math.nan, 0.0), DomainError, "direction must be a unit vector"),
+        ("hom", 2.0, 1.0, (math.inf, 0.0), DomainError, "direction must be a unit vector"),
+        ("hom", 2.0, 0.0, None, NonpositiveTime, "sharp coefficient requires t > 0, got 0.0"),
+        ("hom", 2.0, -1.0, (1.0, 0.0), NonpositiveTime, "sharp coefficient requires t > 0, got -1.0"),
+        ("nonhom", 5.0, 0.0, None, NonpositiveTime, "sharp coefficient requires t > 0, got 0.0"),
+        ("hom", 2.0, math.nan, None, NonpositiveTime, "sharp coefficient requires t > 0, got nan"),
+        ("hom", 2.0, 8.5, None, DomainError, "t = 8.5 beyond the problem horizon T = 8.0"),
+        ("nonhom", 5.0, 9.0, (1.0, 0.0), DomainError, "t = 9.0 beyond the problem horizon T = 8.0"),
+        ("hom", 0.5, 1.0, None, InvalidExponent, "Lebesgue exponent must satisfy p >= 1, got 0.5"),
+        ("hom", math.nan, 1.0, (1.0, 0.0), InvalidExponent,
+         "Lebesgue exponent must satisfy p >= 1, got nan"),
+        ("nonhom", 4.0, 1.0, None, ExponentTooSmall,
+         "nonhomogeneous bound requires p > n + 2 = 4, got 4.0"),
+        ("nonhom", 3.5, 1.0, (1.0, 0.0), ExponentTooSmall,
+         "nonhomogeneous bound requires p > n + 2 = 4, got 3.5"),
+        ("hom", 0.5, 0.0, (1.0,), NonpositiveTime, "sharp coefficient requires t > 0, got 0.0"),
+        ("nonhom", 4.0, 1.0, (1.0,), ExponentTooSmall,
+         "nonhomogeneous bound requires p > n + 2 = 4, got 4.0"),
+    ])
+    def test_type_and_message(self, kind, p, t, direction, error, message):
+        fn = sc.sharp_coefficient_hom if kind == "hom" else sc.sharp_coefficient_nonhom
+        with pytest.raises(error) as caught:
+            fn(self.K2, p, t, direction)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+
+
 class TestBoundQuery:
     def test_validation(self):
         with pytest.raises(InvalidExponent):
@@ -283,6 +376,14 @@ class TestBoundQuery:
             sc.BoundQuery(p=2.0, t=1.0, kind="weird")
         with pytest.raises(DomainError):
             sc.BoundQuery(p=2.0, t=1.0, direction=(0.7, 0.3))
+        with pytest.raises(DomainError):
+            sc.BoundQuery(p=2.0, t=1.0, direction=(math.nan, 0.0))
+
+    def test_direction_is_a_tuple_of_python_floats(self):
+        for given in ((0.6, 0.8), np.array([0.6, 0.8]), [np.float64(0.6), np.float64(0.8)]):
+            q = sc.BoundQuery(p=2.0, t=1.0, direction=given)
+            assert q.direction == (0.6, 0.8)
+            assert all(type(v) is float for v in q.direction)
 
     def test_evaluate_dispatch(self):
         q_hom = sc.BoundQuery(p=2.0, t=1.0, kind=sc.HOMOGENEOUS, direction=(1.0,))

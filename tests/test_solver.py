@@ -419,6 +419,71 @@ class TestSolveNonhomogeneous:
         assert used == ([(1, 12)] * 15 + [(1, 8)] * 15) * 4
 
 
+# u and du/dx of a time-invariant Gaussian forcing exp(-(y - x0)^2 / (4 spread)) in 1-D,
+# as (a, b, c, t, x, x0, spread, u, du/dx). With v = |c| s the Duhamel integral is
+# (1/|c|) int_0^{|c| t} e^{-v} g(v / |c|) dv, g(s) = sqrt(spread / w) exp(-d^2 / (4 w)),
+# w = spread + a s, d = x + s b - x0, and du/dx has the factor -d / (2 w); 30-digit
+# mpmath quad in v, with breakpoints at v = 1, 4, 16, 64 and the range cut at v = 300.
+STIFF_DECAY = [
+    (1.0, 0.0, -1e2, 1.0, 0.3, 0.0, 1.0, 0.009731477172920419161, -0.0014454733861822315876),
+    (1.0, 0.0, -1e4, 1.0, 0.3, 0.0, 1.0, 9.7770455624827348019e-5, -1.4664102150096553135e-5),
+    (1.0, 0.0, -1e6, 1.0, 0.3, 0.0, 1.0, 9.7775077031778841436e-7, -1.4666246888541606436e-7),
+    (1.0, 0.0, -1e9, 1.0, 0.3, 0.0, 1.0, 9.7775123672646015046e-10, -1.46662685362306332e-10),
+    (1.0, 0.0, -1e12, 1.0, 0.3, 0.0, 1.0, 9.7775123719286948934e-13, -1.4666268557878375529e-13),
+    (1.0, 0.0, -1e16, 1.0, 0.3, 0.0, 1.0, 9.7775123719333631887e-17, -1.4666268557900042774e-17),
+    (1.0, 0.0, -1e18, 1.0, 0.3, 0.0, 1.0, 9.7775123719333636509e-19, -1.4666268557900044919e-19),
+    (1.0, 0.0, -1e20, 1.0, 0.3, 0.0, 1.0, 9.7775123719333636555e-21, -1.466626855790004494e-21),
+    (1.3, 0.5, -40.0, 2.5, -0.4, 0.2, 0.7, 0.021724720166052475119, 0.0087418727846287970398),
+    (1.3, 0.5, -4e7, 2.5, -0.4, 0.2, 0.7, 2.1983768473844991373e-8, 9.4216144265035746325e-9),
+    (1.3, 0.5, -4e19, 2.5, -0.4, 0.2, 0.7, 2.1983768735182649091e-20, 9.4216151722211364447e-21),
+]
+
+
+class TestStiffDecay:
+    @pytest.mark.parametrize("a, b, c, t, x, x0, spread, u_ref, du_ref", STIFF_DECAY)
+    def test_gaussian_forcing_matches_reference(self, a, b, c, t, x, x0, spread, u_ref, du_ref):
+        # before the decay edges, |c| t from about 2e8 up gave u and du/dx 100% off with no error
+        k = make_kernel([[a]], [b], c)
+        f = TimeInvariantForcing(GaussianBump(center=(x0,), spread=spread))
+        target = sv.DEFAULT_QUADRATURE.target_rel_err
+        assert abs(sv.solve_nonhomogeneous(k, f, [x], t) - u_ref) <= target * abs(u_ref)
+        # du/dx of the product frame loses digits as sigma^2 ~ 1/|c| shrinks: from
+        # |c| t ~ 1e18 it misses its target and says so
+        try:
+            du = sv.gradient_nonhomogeneous(k, f, [x], t)[0]
+        except QuadratureFailure:
+            assert -c * t >= 1e18
+        else:
+            assert abs(du - du_ref) <= target * abs(du_ref)
+
+    @pytest.mark.parametrize("c, u_ref", [(-1e2, 0.0099207835424293970178),
+                                          (-1e4, 9.9999999999999999995e-5),
+                                          (-1e9, 1e-9), (-1e20, 1e-20)])
+    def test_box_forcing_matches_reference(self, c, u_ref):
+        # box [-0.5, 0.7], A = 1.3, b = 0.5, x = 0.2, t = 1: the same integral in v with
+        # g(s) the normal probability of the box; at c = -1e2, du/dx = -5.1823701175319832966e-4
+        k = make_kernel([[1.3]], [0.5], c)
+        f = TimeInvariantForcing(BoxIndicator(lo=(-0.5,), hi=(0.7,)))
+        target = sv.DEFAULT_QUADRATURE.target_rel_err
+        assert abs(sv.solve_nonhomogeneous(k, f, [0.2], 1.0) - u_ref) <= target * u_ref
+        if c == -1e2:
+            du = sv.gradient_nonhomogeneous(k, f, [0.2], 1.0)[0]
+            assert abs(du + 5.1823701175319832966e-4) <= target * 5.1823701175319832966e-4
+
+    @pytest.mark.parametrize("c, t", [(0.0, 1.0), (1.0, 8.0), (-1.0, 1.5), (-4.0, 1.0), (-0.5, 8.0)])
+    def test_no_decay_edges_while_ct_at_most_four(self, c, t):
+        assert np.array_equal(sv._sigma_edges(t, c), math.sqrt(t) * sv._SIGMA_EDGES)
+
+    def test_decay_edges_reach_eight_over_sqrt_c(self):
+        edges = sv._sigma_edges(4.0, -1e6)
+        assert edges[1:7] == pytest.approx(np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0]) / 1e3, rel=1e-15)
+        assert np.array_equal(edges[7:], 2.0 * sv._SIGMA_EDGES[1:])
+        # only the edges below sqrt(t) / 8 join
+        edges = sv._sigma_edges(1.0, -400.0)
+        assert edges[1:5] == pytest.approx(np.array([0.25, 0.5, 1.0, 2.0]) / 20.0, rel=1e-15)
+        assert np.array_equal(edges[5:], sv._SIGMA_EDGES[1:])
+
+
 class TestErrorPaths:
     def test_gradient_peak_overflow(self):
         # kernel peak e^708.2 fits in float64; the gradient peak e^709.84 does not
