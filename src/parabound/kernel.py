@@ -150,16 +150,19 @@ class FundamentalSolution:
         """log of e^{ct} / ((2 sqrt(pi t))^n det A^{1/2}); elementwise for a 1-D array t.
 
         An array takes the scalar value once per run of equal times, so a
-        batch of rows that share a time costs one scalar call and matches
-        the scalar calls bitwise.
+        batch of rows that share a time costs one scalar evaluation and
+        matches the scalar calls bitwise.
         """
         if np.ndim(t):
             t = self._check_times(t)
             starts = np.flatnonzero(t[1:] != t[:-1]) + 1
             first = np.concatenate(([0], starts))
-            runs = [self.log_prefactor(s) for s in t[first].tolist()]
+            runs = list(map(self._log_prefactor, t[first].tolist()))
             return np.repeat(runs, np.concatenate((starts, [t.size])) - first)
-        t = self._check_time(t)
+        return self._log_prefactor(self._check_time(t))
+
+    def _log_prefactor(self, t: float) -> float:
+        """log_prefactor of one checked time, in scalar arithmetic."""
         return (
             self.spec.reaction * t
             - self.n * math.log(2.0 * math.sqrt(math.pi * t))
@@ -179,9 +182,13 @@ class FundamentalSolution:
             col = t = self._check_time(t)
             pts, single = self._points(x)
         shifted = pts + col * self.spec.drift
-        xi = shifted @ self.inv_sqrt / (2.0 * np.sqrt(col))
+        # np.dot, not @: at n = 1 @ takes a slow non-BLAS path for (m, 1) @ (1, 1), with the
+        # same bits; in place where the bits allow, since each temporary is one more pass
+        xi = np.dot(shifted, self.inv_sqrt)
+        xi /= 2.0 * np.sqrt(col)
         q = np.einsum("ij,ij->i", xi, xi)
-        g = np.where(q > EXP_UNDERFLOW, 0.0, np.exp(self.log_prefactor(t) - q))
+        g = np.exp(self.log_prefactor(t) - q)
+        g[q > EXP_UNDERFLOW] = 0.0
         return shifted, g, col, single
 
     def value(self, x, t: float):
@@ -200,7 +207,11 @@ class FundamentalSolution:
         (m, n); the result then has shape (m, n).
         """
         shifted, g, col, single = self._pass(x, t)
-        out = -(shifted @ self.inverse) * g[:, None] / (2.0 * col)
+        # -(A^{-1} shifted) g / (2 t), in place, in that order
+        out = np.dot(shifted, self.inverse)
+        np.negative(out, out=out)
+        out *= g[:, None]
+        out /= 2.0 * col
         return out[0] if single else out
 
     def fourier_symbol(self, xi, t: float):

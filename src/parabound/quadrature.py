@@ -134,19 +134,43 @@ def panel_edges(lo: float, hi: float, kinks=(), base_panels: int = 32, levels: i
     (hi - lo) * 2^-levels, so integrands with algebraic kinks or steep
     sigmoidal transitions there are resolved to near machine precision.
     """
-    if not hi > lo:
-        raise ValueError(f"empty panel interval [{lo}, {hi}]")
+    return panel_edges_batch([lo], [hi], [kinks], base_panels, levels)[0]
+
+
+def panel_edges_batch(lo, hi, kinks, base_panels: int = 32, levels: int = 44):
+    """panel_edges of many intervals [lo_i, hi_i] at once, each with its own kinks (kinks[i]).
+
+    Returns the edges of every interval, concatenated, and their number per
+    interval. Each row holds the base grid and the graded points, NaN where
+    one lies outside its interval; sorted, a point is kept when it lies more
+    than 1e-15 (hi - lo) above the one before it, which drops duplicates and
+    the zero-width panels that clustering near the interval ends causes.
+    """
+    lo, hi = np.asarray(lo, dtype=float)[:, None], np.asarray(hi, dtype=float)[:, None]
+    if not (hi > lo).all():
+        bad = np.argmin(hi > lo)
+        raise ValueError(f"empty panel interval [{lo[bad, 0]}, {hi[bad, 0]}]")
     width = hi - lo
-    steps = width * 0.5 ** np.arange(1, levels + 1)
-    edges = [np.linspace(lo, hi, base_panels + 1)]
-    for kink in kinks:
-        if lo < kink < hi:
-            graded = np.concatenate([[kink], kink - steps, kink + steps])
-            edges.append(graded[(graded > lo) & (graded < hi)])
-    edges = np.unique(np.concatenate(edges))
-    # drop zero-width panels caused by clustering near the interval ends
-    keep = np.concatenate([[True], np.diff(edges) > 1e-15 * width])
-    return edges[keep]
+    # the base grid as np.linspace computes it: start + k * step, the last point stop
+    base = np.arange(base_panels + 1) * (width / base_panels) + lo
+    base[:, -1] = hi[:, 0]
+    points = [base]
+    most = max(map(len, kinks))
+    if most:
+        marks = np.full((lo.size, most), np.nan)
+        for row, at in zip(marks, kinks):
+            row[:len(at)] = at
+        # a kink outside its interval is NaN, and so is every point graded about it
+        marks[~((marks > lo) & (marks < hi))] = np.nan
+        steps = width[:, None] * 0.5 ** np.arange(1, levels + 1)
+        marks = marks[:, :, None]
+        graded = np.concatenate([marks, marks - steps, marks + steps], axis=2).reshape(lo.size, -1)
+        graded[~((graded > lo) & (graded < hi))] = np.nan
+        points.append(graded)
+    edges = np.sort(np.concatenate(points, axis=1), axis=1)
+    keep = np.ones(edges.shape, dtype=bool)
+    keep[:, 1:] = edges[:, 1:] - edges[:, :-1] > 1e-15 * width
+    return edges[keep], keep.sum(1)
 
 
 def panel_nodes(edges: np.ndarray, order: int = 12):

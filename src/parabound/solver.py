@@ -26,11 +26,15 @@ solver and for every sigma node of the Duhamel solver alike:
   given Y_j there. So n = 1 needs no quadrature, and at n = 2 u is a 1-D
   rule and grad u closed form; a closed form is computed once per solve.
   Orders 12 and 8 on the same panels are compared, then halved panels.
-- Grid data takes tensor composite Gauss-Legendre on its multilinear
-  interpolant over the grid's support clipped to the kernel's window,
-  with panels at most 2 sqrt(2 t A_jj) wide and panel edges at the
-  grid lines, so each panel lies in one cell. Orders climb from 1 (the
-  midpoint rule) to 12, each compared with the one before.
+- Grid data stands for its multilinear interpolant. At n = 1 it is in
+  closed form: against the normal law of Y each linear cell is a
+  difference of normal CDFs and densities, and grad u differentiates the
+  cell sum in the mean, which keeps the jumps at the grid's two ends. At
+  n >= 2 it takes tensor composite Gauss-Legendre over the grid's
+  support clipped to the kernel's window, with panels at most
+  2 sqrt(2 t A_jj) wide and panel edges at the grid lines, so each panel
+  lies in one cell. Orders climb from 1 (the midpoint rule) to 12, each
+  compared with the one before.
 - n = 1 data with kinks (the extremal |.|^q profiles) takes composite
   Gauss-Legendre panels graded toward the kinks, orders 12 and 8.
 - Everything else (extremal for n >= 2, custom data) takes the same pass
@@ -51,10 +55,14 @@ behavior of the gradient integrand. The integral in sigma is global
 adaptive G7K15 Gauss-Kronrod (_duhamel, after QUADPACK's QAG): from four
 panels graded toward sigma = 0, the panel with the largest |K15 - G7| is
 halved, so a feature in sigma (the kernel window reaching a box face,
-or shrinking to a grid cell) gets panels where it lies. Every sigma
-node's spatial rule runs at two consecutive keys of its ladder, and
-their difference joins the estimate; the keys climb where that part
-dominates.
+or shrinking to a grid cell) gets panels where it lies. A panel hands
+its 15 kernel times to the dispatcher at once, and a forcing that varies
+in time its 15 forcing times with them. The kink panels then take each
+node's kinks at its own time but evaluate the forcing and the kernel
+once for all nodes; the kernel-frame rule takes one node at a time.
+Every sigma node's spatial rule runs at two consecutive keys of its
+ladder, and their difference joins the estimate; the keys climb where
+that part dominates.
 
 The homogeneous solver climbs its ladder in _eval, each rung compared
 with the one below it; either solver raises QuadratureFailure when its
@@ -85,7 +93,8 @@ from .quadrature import (
     GK15_WEIGHTS,
     TRUNCATION_RADIUS,
     hermite_tensor,
-    panel_edges,
+    legendre_rule,
+    panel_edges_batch,
     panel_nodes,
     pruned_hermite_tensor,
 )
@@ -190,7 +199,7 @@ def _product_frame(kernel, x, t, center, precision):
             np.sqrt(shrink / spread_t))
 
 
-def _hermite_pass(kernel, data, frame, order, want_gradient, sup):
+def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
     """The tensor Gauss-Hermite rule of one order in a product frame (see _product_frame).
 
     The rule integrates what is left of the data, phi times
@@ -202,7 +211,8 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup):
     leaves out. Only a leftover with a known finite sup (q = 0, sup|phi|
     finite) takes the pruned rule (pruned_hermite_tensor), with the bound
     front sup mass, or front sup moment ||A^{-1/2}||_2 / sqrt(t) for the
-    gradient; otherwise the full rule runs, with bound 0.
+    gradient; otherwise the full rule runs, with bound 0. With tau the
+    data is a forcing, taken at that one time.
     """
     center, precision, ndim, mean, scale, log_mass, front, grad_scale = frame
     if precision == 0.0 and math.isfinite(sup):
@@ -218,7 +228,8 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup):
     else:
         # the same nodes y = c + Q (mean + scale xi), with one pass over the large rule
         nodes = xi @ (scale.swapaxes(1, 2) * vecs.T) + (mean @ vecs.T + center)
-    vals = w * data(nodes.reshape(-1, kernel.n)).reshape(nodes.shape[:-1])
+    pts = nodes.reshape(-1, kernel.n)
+    vals = w * (data(pts) if tau is None else data(pts, tau)).reshape(nodes.shape[:-1])
     if want_gradient:
         # A^{-1}(x + t b - y) / (2 t) in the eigenbasis is 2 q mean - grad_scale xi; node k
         # and node N-1-k are negatives, so the xi part sums xi (v(xi) - v(-xi)) over pairs
@@ -327,6 +338,46 @@ def _box_1d(kernel, box, x, t, want_gradient):
         return (out[:, None] if want_gradient else out), np.zeros(np.size(t))
     out = box.amp * (math.exp(kernel.spec.reaction * t) * float(part))
     return (np.array([out]) if want_gradient else out), 0.0
+
+
+def _grid_1d(kernel, grid, x, t, want_gradient):
+    """n = 1 grid data in closed form, at one kernel time t or an array of them.
+
+    On the cell [y_k, y_k+1] the interpolant is v_k + beta_k (y - y_k).
+    Against Y ~ N(m, sd^2), m = x + t b, sd = sqrt(2 t a), with z = (y - m)
+    / sd and level = v_k + beta_k (m - y_k), the cell gives level (Phi(z_b)
+    - Phi(z_a)) + beta_k sd (phi(z_a) - phi(z_b)), and du/dx is the
+    derivative of the cell sum in m, which keeps the jumps at the grid's
+    two ends: [level (phi(z_a) - phi(z_b)) + beta_k sd (Phi(z_b) - Phi(z_a)
+    + z_a phi(z_a) - z_b phi(z_b))] / sd. Only the cells that meet some
+    time's window m +- TRUNCATION_RADIUS sd count, as in _clip_to_window;
+    z is clipped to +-40, where phi and the tail masses are 0 in float64,
+    so no z overflows.
+    """
+    times = np.atleast_1d(t)[:, None]
+    mean = x[0] + times * kernel.spec.drift[0]
+    sd = np.sqrt(2.0 * times * kernel.spec.diffusion.entries[0, 0])
+    (origin,), (h,), values = grid.origin, grid.spacing, grid.values
+    ys = origin + h * np.arange(values.size)
+    reach = TRUNCATION_RADIUS * sd
+    first = max(int(np.searchsorted(ys, (mean - reach).min(), "right")) - 1, 0)
+    last = int(np.searchsorted(ys, (mean + reach).max()))
+    ys, values = ys[first:last + 1], values[first:last + 1]
+    beta = np.diff(values) / h
+    level = values[:-1] + beta * (mean - ys[:-1])
+    z = np.clip((ys - mean) / sd, -40.0, 40.0)
+    za, zb = z[:, :-1], z[:, 1:]
+    mass = _normal_mass(za, zb)
+    density = np.exp(-0.5 * z * z) / _SQRT_2PI
+    pa, pb = density[:, :-1], density[:, 1:]
+    if want_gradient:
+        part = (level * (pa - pb) + beta * sd * (mass + za * pa - zb * pb)).sum(-1) / sd[:, 0]
+    else:
+        part = (level * mass + beta * sd * (pa - pb)).sum(-1)
+    out = np.exp(kernel.spec.reaction * times[:, 0]) * part
+    if np.ndim(t):
+        return (out[:, None] if want_gradient else out), np.zeros(out.size)
+    return (out if want_gradient else float(out[0])), 0.0
 
 
 def _box_mass(lo, hi, cov):
@@ -471,23 +522,56 @@ def _grid_pass(kernel, grid, x, t, order, want_gradient):
     return float(weights @ kernel.value(args, t)), 0.0
 
 
-def _kink_edges(kernel, data, x, t):
-    """Panel edges over the n = 1 kernel window, graded toward the data's kinks."""
-    center = float(x[0] + t * kernel.spec.drift[0])
-    sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
-    lo = center - TRUNCATION_RADIUS * sigma
-    hi = center + TRUNCATION_RADIUS * sigma
-    return panel_edges(lo, hi, [k for k in data.kinks_1d() if lo < k < hi])
+def _kinks(data, t, tau):
+    """The kinks of n = 1 data, one list per kernel time: a forcing's at each time's tau."""
+    if tau is None:
+        return [data.kinks_1d()] * np.size(t)
+    return [data.spatial_kinks(s) for s in np.atleast_1d(tau).tolist()]
 
 
-def _panel_pass_1d(kernel, data, x, t, edges, order, want_gradient):
-    nodes, weights = panel_nodes(edges, order)
-    args = (x[0] - nodes)[:, None]
-    vals = data(nodes[:, None])
-    if want_gradient:
-        g = kernel.gradient(args, t)[:, 0]
-        return np.array([float(weights @ (g * vals))]), 0.0
-    return float(weights @ (kernel.value(args, t) * vals)), 0.0
+def _kink_route(kernel, data, x, t, want_gradient, tau, kinks):
+    """(rule, keys) of n = 1 data with kinks, at one kernel time t or an array of them.
+
+    Each time takes Gauss-Legendre panels over its kernel window x + t b
+    +- TRUNCATION_RADIUS 2 sqrt(t a), graded toward its kinks (_kinks).
+    The edges are built once per time, here; a rule then evaluates the
+    data (a forcing with each time's tau on that time's rows) and the
+    kernel once over the panels of all times and sums them by time (one
+    time sums with @, as a panel pass always has).
+    """
+    times = np.atleast_1d(t)
+    center = x[0] + times * kernel.spec.drift[0]
+    sigma = 2.0 * np.sqrt(times * float(kernel.dec.eigenvalues[-1]))
+    edges, counts = panel_edges_batch(center - TRUNCATION_RADIUS * sigma,
+                                      center + TRUNCATION_RADIUS * sigma, kinks)
+    # every edge but each time's last starts a panel; the panels are built once, not per key
+    starts = np.ones(edges.size, dtype=bool)
+    starts[np.cumsum(counts) - 1] = False
+    lefts = edges[starts][:, None]
+    halves = 0.5 * (edges[1:][starts[:-1]][:, None] - lefts)
+    panels = counts - 1
+
+    def rule(order):
+        # panel_nodes' nodes and weights, over the panels of every time
+        xg, wg = legendre_rule(order)
+        nodes = (lefts + halves * (xg + 1.0)).reshape(-1)
+        weights = (halves * wg).reshape(-1)
+        rows = panels * order
+        if tau is None:
+            vals = data(nodes[:, None])
+        else:
+            vals = data(nodes[:, None], np.repeat(tau, rows) if np.ndim(tau) else tau)
+        args = (x[0] - nodes)[:, None]
+        at = np.repeat(times, rows) if np.ndim(t) else t
+        kern = kernel.gradient(args, at)[:, 0] if want_gradient else kernel.value(args, at)
+        terms = kern * vals
+        if np.ndim(t):
+            out = np.add.reduceat(weights * terms, np.cumsum(rows) - rows)
+            return (out[:, None] if want_gradient else out), np.zeros(out.size)
+        out = float(weights @ terms)
+        return (np.array([out]) if want_gradient else out), 0.0
+
+    return rule, _KINK_RULES
 
 
 @lru_cache(maxsize=None)
@@ -519,7 +603,7 @@ def _closed(result):
     return (lambda key: result), _CLOSED_FORM
 
 
-def _route(kernel, data, x, t, want_gradient, sup):
+def _route(kernel, data, x, t, want_gradient, sup, tau=None):
     """The rule for the integral of G(x - y, t) phi(y) over y that the data picks.
 
     Returns (rule, keys): rule(key) gives the integral and a bound on what
@@ -527,16 +611,19 @@ def _route(kernel, data, x, t, want_gradient, sup):
     keys[1:] the ladder an unmet error estimate climbs. Data with a
     Gaussian factor takes _hermite_pass in the frame of its product with
     the kernel, constant data its closed form, box data its Gaussian box
-    probability (_box_1d, _box_route), grid data its cells, n = 1 data with
-    kinks the kink panels and everything else _hermite_pass in the
-    kernel's own frame (q = 0). A box probability that needs no rule (n =
-    1, a box that clips at most one axis, the gradient of one that clips
-    two) is computed here, once, under the key _CLOSED_FORM. An array t
-    (several kernel times) gives results stacked by time; data with a
-    Gaussian factor, constant data and n = 1 boxes take all times in one
-    call.
+    probability (_box_1d, _box_route), grid data its cells (_grid_1d in
+    closed form at n = 1), n = 1 data with kinks the kink panels and
+    everything else _hermite_pass in the kernel's own frame (q = 0). A
+    closed form (n = 1 boxes and grids, a box that clips at most one axis,
+    the gradient of one that clips two) is computed here, once, under the
+    key _CLOSED_FORM. An array t (several kernel times) gives results
+    stacked by time. A forcing that varies in time comes as data with tau,
+    its forcing times, one per kernel time; it takes the kink panels or the
+    kernel's frame. The Gaussian-factor, constant, n = 1 box and grid and
+    kink routes take all times in one call; every other route takes one
+    time at a time, a forcing at that time's tau.
     """
-    factor = data.gaussian_factor()
+    factor = None if tau is not None else data.gaussian_factor()
     if factor is not None:
         center, precision, start = np.asarray(factor[0]), 0.25 / factor[1], _FACTOR_START_ORDER
     elif isinstance(data, ConstantData):
@@ -544,8 +631,13 @@ def _route(kernel, data, x, t, want_gradient, sup):
                        want_gradient=want_gradient), _CLOSED_FORM
     elif isinstance(data, BoxIndicator) and data.n == 1:
         return _closed(_box_1d(kernel, data, x, t, want_gradient))
+    elif isinstance(data, GridData) and data.n == 1:
+        return _closed(_grid_1d(kernel, data, x, t, want_gradient))
+    elif kernel.n == 1 and any(kinks := _kinks(data, t, tau)):
+        return _kink_route(kernel, data, x, t, want_gradient, tau, kinks)
     elif np.ndim(t):
-        routes = [_route(kernel, data, x, s, want_gradient, sup) for s in t]
+        taus = [None] * len(t) if tau is None else tau
+        routes = [_route(kernel, data, x, s, want_gradient, sup, at) for s, at in zip(t, taus)]
 
         def stacked(key):
             parts = [rule(key) for rule, _ in routes]
@@ -558,14 +650,11 @@ def _route(kernel, data, x, t, want_gradient, sup):
         return _box_route(kernel, data, x, t, want_gradient)
     elif isinstance(data, GridData):
         return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
-    elif kernel.n == 1 and data.kinks_1d():
-        return partial(_panel_pass_1d, kernel, data, x, t, _kink_edges(kernel, data, x, t),
-                       want_gradient=want_gradient), _KINK_RULES
     else:
         # the kernel's own frame
         center, precision, start = np.zeros(kernel.n), 0.0, _KERNEL_START_ORDER
     return (partial(_hermite_pass, kernel, data, _product_frame(kernel, x, t, center, precision),
-                    want_gradient=want_gradient, sup=sup), _hermite_keys(start, kernel.n))
+                    want_gradient=want_gradient, sup=sup, tau=tau), _hermite_keys(start, kernel.n))
 
 
 def _magnitude(v) -> float:
@@ -581,31 +670,16 @@ def _tolerance_scale(value, bound) -> float:
     return max(scale, 1e-3 * bound)
 
 
-class _Slice(SourceFunction):
-    """Fixed-time slice of a forcing term, viewed as spatial data."""
-
-    def __init__(self, forcing, tau):
-        self.forcing = forcing
-        self.tau = tau
-        self.n = forcing.n
-
-    def __call__(self, pts):
-        return self.forcing(pts, self.tau)
-
-    def kinks_1d(self):
-        return self.forcing.spatial_kinks(self.tau)
-
-
 class _SigmaPanel:
-    """The 15 G7K15 sigma nodes of one Duhamel panel [a, b], with their spatial rules.
+    """The 15 G7K15 sigma nodes of one Duhamel panel [a, b], with their spatial rule.
 
     With t - tau = sigma^2 the integrand is 2 sigma times the spatial
-    integral at kernel time sigma^2. A TimeInvariantForcing hands its
-    profile and the panel's 15 times to _route as one array; any other
-    forcing routes its slice at each tau on its own. at(k) runs every
-    node's rule at index k of its ladder, clamped to its last key, and
-    keeps what each choice of keys computed: the values and the bounds on
-    what the rules leave out, both stacked by node.
+    integral at kernel time sigma^2. The panel's 15 kernel times go to
+    _route as one array: a TimeInvariantForcing as its profile, any other
+    forcing with the 15 forcing times tau. at(k) runs the rule at index k
+    of its ladder, clamped to its last key, and keeps what each key
+    computed: the values and the bounds on what the rule leaves out, both
+    stacked by node.
     """
 
     def __init__(self, kernel, forcing, x, t, want_gradient, sup, a, b):
@@ -614,22 +688,20 @@ class _SigmaPanel:
         sigmas = (a + half) + half * GK15_NODES
         times = sigmas * sigmas
         if isinstance(forcing, TimeInvariantForcing):
-            self.routes = [_route(kernel, forcing.profile, x, times, want_gradient, sup)]
+            self.rule, self.keys = _route(kernel, forcing.profile, x, times, want_gradient, sup)
         else:
-            self.routes = [_route(kernel, _Slice(forcing, t - s), x, s, want_gradient, sup)
-                           for s in times]
-        self.depth = max(len(keys) for _, keys in self.routes)
+            self.rule, self.keys = _route(kernel, forcing, x, times, want_gradient, sup, t - times)
+        self.depth = len(self.keys)
         self.kronrod = 2.0 * half * sigmas * GK15_WEIGHTS
         self.gauss = 2.0 * half * sigmas * G7_WEIGHTS
         self.cache = {}
 
     def at(self, k):
-        chosen = tuple(keys[min(k, len(keys) - 1)] for _, keys in self.routes)
-        if chosen not in self.cache:
-            parts = [rule(key) for (rule, _), key in zip(self.routes, chosen)]
-            values, dropped = parts[0] if len(parts) == 1 else zip(*parts)
-            self.cache[chosen] = np.asarray(values, dtype=float), np.asarray(dropped, dtype=float)
-        return self.cache[chosen]
+        key = self.keys[min(k, self.depth - 1)]
+        if key not in self.cache:
+            values, dropped = self.rule(key)
+            self.cache[key] = np.asarray(values, dtype=float), np.asarray(dropped, dtype=float)
+        return self.cache[key]
 
     def sums(self, k):
         """The panel's sums at ladder index k.

@@ -22,7 +22,18 @@ GRID_VERSION = 1
 
 
 class SourceFunction:
-    """Base class for initial data phi: R^n -> R."""
+    """Base class for initial data phi: R^n -> R.
+
+    Custom data implements n, __call__ (points of shape (m, n) to m
+    values) and lp_norm; sup_norm() should be finite, since it bounds what
+    the pruned Gauss-Hermite rule leaves out and floors the error scale.
+    It may name its kinks (kinks_1d) or a Gaussian factor
+    (gaussian_factor). Other custom data takes Gauss-Hermite in the
+    kernel's frame, which samples it at the rule's nodes only: a feature
+    narrower than their spacing (about 0.28 sqrt(t lam) along an
+    eigenvector of A with eigenvalue lam, at order 256) can be missed with
+    no error raised.
+    """
 
     n: int
 
@@ -349,11 +360,20 @@ def read_grid(path) -> GridData:
 
 
 class SpaceTimeSource:
-    """Base class for forcing data f: R^n x (0, T) -> R."""
+    """Base class for forcing data f: R^n x (0, T) -> R.
+
+    Custom forcing implements n, __call__ and lp_norm (sup_norm(t) must be
+    finite for the Duhamel solver). __call__(pts, tau) takes points of
+    shape (m, n) and either one time tau for all of them or an array of m
+    times, one per row, and returns the m values. An n = 1 forcing with
+    kinks (points where it is not smooth) names them in spatial_kinks(tau),
+    for one scalar tau; the Duhamel solver then hands __call__ all the
+    nodes of a panel at once, with their forcing times.
+    """
 
     n: int
 
-    def __call__(self, pts: np.ndarray, tau: float) -> np.ndarray:
+    def __call__(self, pts: np.ndarray, tau) -> np.ndarray:
         raise NotImplementedError
 
     def lp_norm(self, p: float, t: float) -> float:
@@ -364,11 +384,12 @@ class SpaceTimeSource:
         return self.lp_norm(math.inf, t)
 
     def spatial_kinks(self, tau: float):
+        """Locations (n = 1 only) where f(., tau) is not smooth; default none."""
         return ()
 
 
 class TimeInvariantForcing(SpaceTimeSource):
-    """f(y, tau) = g(y) for a spatial source g."""
+    """f(y, tau) = g(y) for a spatial source g; tau, a scalar or one per row, is ignored."""
 
     def __init__(self, profile: SourceFunction):
         self.profile = profile

@@ -128,6 +128,51 @@ class TestTimePerRow:
             HEAT_1D.gradient(np.zeros(1), np.ones(1))
 
 
+# G and grad G at four points, with the scalar t = 0.7 and with the times (0.7, 1e-3, 2.5, 0.7)
+# per row: (A, b, c, values, gradients, values per row, gradients per row), frozen bitwise
+FROZEN = {
+    1: ([[1.3]], [0.5], -0.25,
+        [0.19372874031248913, 0.2450596547878937, 0.230687068293318, 0.16160260297484422],
+        [[0.10112214466860696], [0.029173768427130205], [-0.06548808715286501],
+         [-0.11099079874645894]],
+        [0.19372874031248913, 1.32436795631965e-26, 0.07177493464452825, 0.16160260297484422],
+        [[0.10112214466860696], [2.8838961202678536e-24], [-0.01564325498662795],
+         [-0.11099079874645894]]),
+    2: ([[1.0, 0.6], [0.6, 2.0]], [0.5, -1.0], -0.25,
+        [0.04116763079435608, 0.06103742331951815, 0.06639176795864589, 0.05297976163777616],
+        [[0.015932221474669918, 0.020004927607262378], [0.000227864945194817, 0.02297638197381065],
+         [-0.02519846842631535, 0.01772154582768734], [-0.04041387989541664, 0.00833989528021241]],
+        [0.04116763079435608, 6.148602246468527e-48, 0.006757845831142702, 0.05297976163777616],
+        [[0.015932221474669918, 0.020004927607262378],
+         [2.1125911760427236e-45, -8.325785881651043e-47],
+         [-0.003091655601494904, 0.0024335308942459877],
+         [-0.04041387989541664, 0.00833989528021241]]),
+    3: ([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]], [0.5, -1.0, 0.3], 0.45,
+        [0.011823806483405542, 0.021773565318039166, 0.025723251355468293, 0.019496033031354783],
+        [[0.006083682733540615, 0.009073840879288406, 0.0012484634719832177],
+         [0.0031160107625795583, 0.012286346815093451, -0.00129888796088459],
+         [-0.005872840953257155, 0.009289565708820762, -0.0057850993055491165],
+         [-0.011692299763308841, 0.0030802136172889336, -0.007606201577572109]],
+        [0.011823806483405542, 2.2879853223659772e-62, 0.005099616788853364, 0.019496033031354783],
+        [[0.006083682733540615, 0.009073840879288406, 0.0012484634719832177],
+         [7.37789072463441e-60, 2.647568073975665e-60, 9.482432554546378e-61],
+         [-0.0014936267071703532, 0.0019826631809793886, -0.0007581779046179928],
+         [-0.011692299763308841, 0.0030802136172889336, -0.007606201577572109]]),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_value_and_gradient_match_frozen_values_bitwise(n):
+    a, b, c, value, grad, row_value, row_grad = FROZEN[n]
+    k = make_kernel(a, b, c)
+    x = np.linspace(-1.3, 0.9, 4 * n).reshape(4, n)
+    times = np.array([0.7, 1e-3, 2.5, 0.7])
+    assert np.array_equal(k.value(x, 0.7), value)
+    assert np.array_equal(k.gradient(x, 0.7), grad)
+    assert np.array_equal(k.value(x, times), row_value)
+    assert np.array_equal(k.gradient(x, times), row_grad)
+
+
 class TestGradient:
     def test_vanishes_only_at_shifted_origin(self):
         k = make_kernel([[1.0]], [0.0], 0.0)

@@ -11,6 +11,8 @@ from parabound.quadrature import (
     HERMITE_PRUNE_REL,
     hermite_tensor,
     legendre_rule,
+    panel_edges,
+    panel_edges_batch,
     pruned_hermite_tensor,
 )
 
@@ -69,3 +71,38 @@ class TestGaussKronrod:
         assert np.allclose(G7_WEIGHTS[gauss], weights, rtol=0.0, atol=4e-16)
         assert np.array_equal(GK15_NODES, -GK15_NODES[::-1])
         assert np.array_equal(GK15_WEIGHTS, GK15_WEIGHTS[::-1])
+
+
+def _edges_one_by_one(lo, hi, kinks, base_panels, levels):
+    """The graded edges of one interval, kink by kink, as np.unique of all points."""
+    width = hi - lo
+    steps = width * 0.5 ** np.arange(1, levels + 1)
+    edges = [np.linspace(lo, hi, base_panels + 1)]
+    for kink in kinks:
+        if lo < kink < hi:
+            graded = np.concatenate([[kink], kink - steps, kink + steps])
+            edges.append(graded[(graded > lo) & (graded < hi)])
+    edges = np.unique(np.concatenate(edges))
+    return edges[np.concatenate([[True], np.diff(edges) > 1e-15 * width])]
+
+
+class TestPanelEdges:
+    def test_batch_matches_interval_by_interval_bitwise(self):
+        # kinks inside, outside, at an end, repeated, and none; widths from 1e-9 to 1e3
+        rng = np.random.default_rng(5)
+        for base_panels, levels in ((32, 44), (4, 24)):
+            lo = rng.normal(size=40) * 10.0 ** rng.integers(-6, 3, 40)
+            hi = lo + 10.0 ** rng.uniform(-9, 3, 40)
+            kinks = [tuple(l + (h - l) * rng.uniform(-0.3, 1.3, rng.integers(0, 4)))
+                     for l, h in zip(lo, hi)]
+            kinks[0], kinks[1], kinks[2] = (), (lo[1], hi[1]), (kinks[3] + kinks[3])
+            edges, counts = panel_edges_batch(lo, hi, kinks, base_panels, levels)
+            parts = np.split(edges, np.cumsum(counts)[:-1])
+            for part, l, h, at in zip(parts, lo, hi, kinks):
+                expected = _edges_one_by_one(l, h, at, base_panels, levels)
+                assert np.array_equal(part, expected)
+                assert np.array_equal(panel_edges(l, h, at, base_panels, levels), expected)
+
+    def test_empty_interval(self):
+        with pytest.raises(ValueError, match="empty panel interval"):
+            panel_edges_batch([0.0, 1.0], [1.0, 1.0], [(), ()])

@@ -475,6 +475,46 @@ def test_grid_forcing_matches_time_integral_of_linear_cells():
     assert abs(grad[0] - grad_ref) <= TARGET * abs(grad_ref)
 
 
+def _grid_forcing_reference(kernel, grid, x, t):
+    """u and du/dx of n = 1 grid forcing: grid_reference integrated in sigma, t - tau = sigma^2.
+
+    The integrand has a feature at sigma = h, where the kernel shrinks to one cell.
+    """
+    h = grid.spacing[0]
+
+    def integrand(sigma):
+        u_s, grad_s = grid_reference(kernel, grid, [grid.values], [x], sigma * sigma)
+        return 2.0 * sigma * np.array([u_s, grad_s[0]])
+
+    return integrate.quad_vec(integrand, 0.0, math.sqrt(t), epsabs=1e-15, epsrel=1e-12,
+                              limit=400, points=[h] if h * h < t else None)[0]
+
+
+@pytest.mark.parametrize("h, half, tilt, x, t", [
+    # e^{-y^2/2} at h = 0.05 over [-6, 6]: the gradient's sigma nodes used to exhaust the
+    # per-cell Gauss-Legendre orders (exit 4)
+    (0.05, 6.0, 0.0, 0.3, 1.0),
+    # e^{-y^2/2} (1 + 0.3 y): the four other inputs that used to exit 4; at h = 0.2 the end
+    # values are about 7e-4, so a gradient without the ends' jump terms is 9e-5 off
+    (0.8, 8.0, 0.3, 0.3, 1.0),
+    (0.8, 8.0, 0.3, -2.0, 3.0),
+    (0.2, 4.0, 0.3, -2.0, 3.0),
+    (0.05, 6.0, 0.3, 0.31, 1e-3),
+])
+def test_grid_forcing_1d_matches_sigma_integral_of_linear_cells(h, half, tilt, x, t):
+    k = make_kernel([[1.3]], [0.5], -0.25)
+    ys = np.arange(-half, half + h / 2, h)
+    grid = GridData([ys[0]], [h], np.exp(-(ys**2) / 2.0) * (1.0 + tilt * ys))
+    forcing = TimeInvariantForcing(grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = sv.solve_nonhomogeneous(k, forcing, [x], t)
+        grad = sv.gradient_nonhomogeneous(k, forcing, [x], t)
+    u_ref, grad_ref = _grid_forcing_reference(k, grid, x, t)
+    bound = math.expm1(-0.25 * t) / -0.25 * grid.sup_norm()
+    assert_within_contract(u, grad, u_ref, [grad_ref], bound, t)
+
+
 def test_box_forcing_near_an_edge_matches_time_integral_of_tensor_rule():
     # x_1 lies 0.01 inside the face x_1 = 0.5, so the integrand in sigma,
     # t - tau = sigma^2, has a feature where the kernel window first reaches

@@ -10,6 +10,7 @@ import pytest
 from parabound import solver as sv
 from parabound.errors import DomainError, FloatOverflow, QuadratureFailure, UnsupportedData
 from parabound.kernel import FundamentalSolution
+from parabound.quadrature import panel_edges, panel_nodes
 from parabound.verify import ExtremalTarget, extremal_forcing
 from parabound.sources import (
     BoxIndicator,
@@ -18,6 +19,7 @@ from parabound.sources import (
     GridData,
     PolynomialGaussian,
     SourceFunction,
+    SpaceTimeSource,
     TimeInvariantForcing,
 )
 
@@ -386,10 +388,8 @@ class TestSolveNonhomogeneous:
     def test_duhamel_starts_from_four_panels_at_keys_one_and_zero(self, monkeypatch):
         # the adaptive sigma rule starts from four G7K15 panels of 15 nodes and
         # runs every node's spatial rule at keys 1 and 0 of its ladder; these
-        # cases meet the target there. A time-invariant forcing hands each
-        # panel's 15 times to one route (a closed form's two keys are one
-        # rule, run once); a route over several times calls itself at each,
-        # so only the calls with an array of times are recorded.
+        # cases meet the target there. Every forcing hands each panel's 15
+        # times to one route (a closed form's two keys are one rule, run once)
         used = []
         route = sv._route
 
@@ -412,11 +412,117 @@ class TestSolveNonhomogeneous:
             used.clear()
             sv.solve_nonhomogeneous(HEAT_1D, TimeInvariantForcing(profile), [0.2], 0.4)
             assert used == [(15, key) for key in keys] * 4
-        # a forcing that varies in time routes each sigma node on its own
+        # a forcing that varies in time too, with its 15 forcing times
         used.clear()
         target = ExtremalTarget(x0=(0.2,), t0=0.4, p=math.inf, direction=(1.0,), mollify=0.3)
         sv.solve_nonhomogeneous(HEAT_1D, extremal_forcing(HEAT_1D, target), [0.2], 0.4)
-        assert used == ([(1, 12)] * 15 + [(1, 8)] * 15) * 4
+        assert used == [(15, 12), (15, 8)] * 4
+
+
+class TestKinkRoute:
+    @pytest.mark.parametrize("mollify", [0.3, 0.03])
+    @pytest.mark.parametrize("want_gradient", [False, True])
+    def test_batched_route_matches_per_node_scalar_tau(self, mollify, want_gradient):
+        # one sigma panel of a p = inf extremal forcing: with b != 0 and x != x0 the kink
+        # x0 + (t0 - tau) b moves with tau, and leaves the window of the smallest kernel
+        # times, so the nodes' panel counts differ; the reference routes node by node
+        k = make_kernel([[1.3]], [0.5], -0.25)
+        target = ExtremalTarget(x0=(0.2,), t0=0.9, p=math.inf, direction=(1.0,), mollify=mollify)
+        forcing = extremal_forcing(k, target)
+        x, t = np.array([-0.4]), 0.9
+        sigmas = 0.06 + 0.06 * sv.GK15_NODES
+        times = sigmas * sigmas
+        rule, keys = sv._route(k, forcing, x, times, want_gradient, 1.0, t - times)
+        assert keys == sv._KINK_RULES
+        for order in keys:
+            batched, dropped = rule(order)
+            assert np.shape(batched) == ((15, 1) if want_gradient else (15,))
+            assert np.array_equal(dropped, np.zeros(15))
+            reference, panels = [], set()
+            for s, tau in zip(times.tolist(), (t - times).tolist()):
+                reach = sv.TRUNCATION_RADIUS * 2.0 * math.sqrt(1.3 * s)
+                center = x[0] + 0.5 * s
+                edges = panel_edges(center - reach, center + reach, forcing.spatial_kinks(tau))
+                panels.add(edges.size - 1)
+                nodes, weights = panel_nodes(edges, order)
+                args = (x[0] - nodes)[:, None]
+                kern = k.gradient(args, s)[:, 0] if want_gradient else k.value(args, s)
+                reference.append(weights @ (kern * forcing(nodes[:, None], tau)))
+            assert len(panels) > 1
+            assert np.all(np.abs(np.ravel(batched) - reference) <= 1e-14 * np.abs(reference))
+
+
+class _AtTau(SourceFunction):
+    """A forcing at one fixed time tau, as spatial data."""
+
+    def __init__(self, forcing, tau):
+        self.forcing, self.tau, self.n = forcing, tau, forcing.n
+
+    def __call__(self, pts):
+        return self.forcing(pts, self.tau)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("want_gradient", [False, True])
+def test_time_varying_forcing_without_kinks_takes_the_kernel_frame_per_tau(n, want_gradient):
+    # at n >= 2 the extremal forcing names no kinks: its sigma nodes take the Gauss-Hermite
+    # pass in the kernel frame one time at a time, each at that node's tau, as node-by-node
+    # routes of the forcing at a fixed tau do
+    a = [[1.0, 0.3, 0.1], [0.3, 0.7, 0.2], [0.1, 0.2, 1.2]]
+    k = make_kernel(np.asarray(a)[:n, :n], [0.5, -0.4, 0.2][:n], -0.25)
+    ell = np.array([0.6, 0.8, 0.0][:n])
+    target = ExtremalTarget(x0=(0.2, -0.1, 0.1)[:n], t0=0.9, p=math.inf, direction=tuple(ell),
+                            mollify=0.3)
+    forcing = extremal_forcing(k, target)
+    x, t = np.array([-0.1, 0.3, 0.0][:n]), 0.9
+    times = (0.3 + 0.3 * sv.GK15_NODES) ** 2
+    rule, keys = sv._route(k, forcing, x, times, want_gradient, 1.0, t - times)
+    assert keys == sv._hermite_keys(sv._KERNEL_START_ORDER, n)
+    for key in keys[:2]:
+        batched, dropped = rule(key)
+        for i, (s, tau) in enumerate(zip(times, t - times)):
+            one, one_dropped = sv._route(k, _AtTau(forcing, tau), x, s, want_gradient, 1.0)[0](key)
+            assert np.allclose(batched[i], one, rtol=1e-14, atol=0.0)
+            assert dropped[i] == one_dropped
+
+
+class _OneTauPerCall(SpaceTimeSource):
+    """A forcing called with one scalar tau at a time, whatever its caller passes."""
+
+    def __init__(self, forcing):
+        self.forcing, self.n = forcing, forcing.n
+
+    def __call__(self, pts, tau):
+        taus = np.broadcast_to(np.asarray(tau, dtype=float), len(pts))
+        out = np.empty(len(pts))
+        for s in np.unique(taus).tolist():
+            rows = taus == s
+            out[rows] = self.forcing(pts[rows], s)
+        return out
+
+    def lp_norm(self, p, t):
+        return self.forcing.lp_norm(p, t)
+
+    def spatial_kinks(self, tau):
+        return self.forcing.spatial_kinks(tau)
+
+
+@pytest.mark.parametrize("n, t", [(1, 0.9), (1, 0.41), (2, 0.41)])
+def test_time_varying_forcing_past_its_last_time(n, t):
+    # past t0 the extremal forcing is 0, so the first sigma panels' nodes all have tau >= t0
+    # (no kinks there) and later panels mix both sides; the solve answers, bitwise as when the
+    # forcing is called with one scalar tau at a time. The target is loose: near tau = t0 the
+    # forcing is narrower than the kernel window, which the default target does not resolve
+    a = np.array([[1.3, 0.3], [0.3, 0.8]])[:n, :n]
+    k = make_kernel(a, [0.5, -0.4][:n], -0.25)
+    ell = np.array([0.6, 0.8][:n]) / np.linalg.norm([0.6, 0.8][:n])
+    target = ExtremalTarget(x0=(0.2, -0.1)[:n], t0=0.4, p=math.inf, direction=tuple(ell),
+                            mollify=0.3)
+    forcing = extremal_forcing(k, target)
+    x, quad = np.array([-0.3, 0.2][:n]), sv.QuadratureConfig(1e-4)
+    du = sv.gradient_nonhomogeneous(k, forcing, x, t, quad)
+    assert np.all(np.isfinite(du)) and np.all(du != 0.0)
+    assert np.array_equal(du, sv.gradient_nonhomogeneous(k, _OneTauPerCall(forcing), x, t, quad))
 
 
 # u and du/dx of a time-invariant Gaussian forcing exp(-(y - x0)^2 / (4 spread)) in 1-D,

@@ -233,6 +233,21 @@ class TestAttainmentNonhom:
         assert ratios[0] < ratios[1] < ratios[2] <= 1.0 + 1e-6
         assert ratios[2] >= 0.99
 
+    @pytest.mark.parametrize("p, mollify", [(math.inf, 0.1), (6.0, 0.0)])
+    def test_forcing_takes_one_tau_per_row(self, p, mollify):
+        # a per-row tau equals row-by-row scalar calls bitwise, rows at tau >= t0 exact zeros
+        k = make_kernel([[1.3]], [0.5], -0.25)
+        forcing = vf.extremal_forcing(
+            k, vf.ExtremalTarget(x0=(0.2,), t0=0.9, p=p, direction=(1.0,), mollify=mollify))
+        pts = np.linspace(-1.0, 1.0, 7)[:, None]
+        taus = np.array([0.0, 0.3, 0.899, 0.9, 1.2, 0.5, 0.9 - 1e-3])
+        rows = forcing(pts, taus)
+        assert np.array_equal(rows, [forcing(y[None], tau)[0] for y, tau in zip(pts, taus)])
+        assert np.all(rows[[3, 4]] == 0.0) and np.all(rows[[0, 1, 2, 5, 6]] != 0.0)
+        assert np.array_equal(forcing(pts[:3], taus[:3]), rows[:3])
+        assert np.array_equal(forcing(pts, 1.2), np.zeros(7))
+        assert np.array_equal(forcing(pts, np.full(7, 1.2)), np.zeros(7))
+
     def test_forcing_requires_mollification_at_pinf(self):
         with pytest.raises(DomainError):
             vf.extremal_forcing(
@@ -353,6 +368,17 @@ class TestSuite:
             "special_case/nonhom_pinf", "sphere_oracle/n2", "sphere_oracle/n3",
             *(f"mass/n{n}/s{i}" for n in (1, 2, 3) for i in (0, 1)),
         }
+
+    @pytest.mark.parametrize("seed", [1000, 1001])
+    def test_attainment_checks_honour_perturb(self, seed):
+        # their closed form is the ratio 1, scaled by 1 + perturb like every other
+        for perturb, passed in ((0.0, True), (0.05, False)):
+            checks = [(name, fn) for name, fn in vf.default_checks(seed, perturb=perturb)
+                      if name.startswith("attainment")]
+            reports = vf.run_checks(checks)
+            assert len(reports) == 4
+            assert all(r.passed is passed for r in reports)
+            assert all(r.closed_form == 1.0 + perturb for r in reports)
 
     def test_jobs_deterministic(self):
         serial = vf.run_checks(vf.default_checks())
