@@ -10,8 +10,8 @@ solver and for every sigma node of the Duhamel solver alike:
   frame of the product of the kernel and that factor
   exp(-q |y - center|^2), q = 1/(4 spread), whose precision shares A's
   eigenvectors (the adaptive Gauss-Hermite of Liu & Pierce, Biometrika 81,
-  1994). The rule integrates only the polynomial left over, exactly from
-  order 4; orders 4 and 8 are compared and doubled on a miss.
+  1994). One pass of order (d + 3) // 2 integrates the polynomial left
+  over, of total degree d, exactly for u and grad u: a closed form.
 - Constant data v takes the closed form u = v e^{ct}, grad u = 0.
 - Box data amp 1[lo, hi] gives u = e^{ct} amp P(lo <= Y <= hi) with
   Y ~ N(x + t b, 2 t A). Axes whose window x_j + t b_j +-
@@ -47,7 +47,7 @@ solver and for every sigma node of the Duhamel solver alike:
   2005), and a bound on what they would add joins the error estimate.
 
 Either way the gradient sums over +-xi node pairs, so it is exactly 0 for
-constant-valued data.
+constant-valued data; the exact pass bounds their roundoff (~ 1/sqrt t).
 
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
@@ -62,7 +62,7 @@ node's kinks at its own time but evaluate the forcing and the kernel
 once for all nodes; the kernel-frame rule takes one node at a time.
 Every sigma node's spatial rule runs at two consecutive keys of its
 ladder, and their difference joins the estimate; the keys climb where
-that part dominates.
+that part dominates (a closed form's part is 0).
 
 The homogeneous solver climbs its ladder in _eval, each rung compared
 with the one below it; either solver raises QuadratureFailure when its
@@ -203,16 +203,17 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
     """The tensor Gauss-Hermite rule of one order in a product frame (see _product_frame).
 
     The rule integrates what is left of the data, phi times
-    exp(q |y - c|^2): for Gaussian and polygauss data a polynomial of
-    degree <= 2 per axis, which order 4 integrates exactly even with the
-    gradient's extra degree; at q = 0 phi itself. Over several times the
+    exp(q |y - c|^2): for Gaussian and polygauss data a polynomial of total
+    degree d, which order m integrates exactly, with the gradient's extra
+    degree, once 2m - 1 >= d + 1; at q = 0 phi itself. Over several times the
     data is evaluated once for all of them and the results are stacked by
     time. Returns the value (or gradient) and a bound on what the rule
     leaves out. Only a leftover with a known finite sup (q = 0, sup|phi|
     finite) takes the pruned rule (pruned_hermite_tensor), with the bound
     front sup mass, or front sup moment ||A^{-1/2}||_2 / sqrt(t) for the
-    gradient; otherwise the full rule runs, with bound 0. With tau the
-    data is a forcing, taken at that one time.
+    gradient; otherwise the full rule runs, with bound 0, but the exact
+    rule's gradient (q > 0) bounds the roundoff of its +-xi pairs. With
+    tau the data is a forcing, taken at that one time.
     """
     center, precision, ndim, mean, scale, log_mass, front, grad_scale = frame
     if precision == 0.0 and math.isfinite(sup):
@@ -243,16 +244,19 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
     if mass:
         # sup|phi| times the dropped weight; the gradient's |xi| ||A^{-1/2}||_2 / sqrt(t) on top
         dropped = front[:, 0] * sup * (moment * grad_scale.max(-1)[:, 0] if want_gradient else mass)
+    elif want_gradient and precision and order > 1:
+        # no rung checks the exact rule: bound the pairs' roundoff, eps |v| times grad_scale |xi|
+        rounding = grad_scale[:, 0] * (np.abs(vals) @ np.abs(xi))
+        dropped = front[:, 0] * (np.finfo(float).eps * np.sqrt((rounding * rounding).sum(-1)))
     if ndim:
         return out, dropped
     return (out[0] if want_gradient else float(out[0])), float(dropped[0])
 
 
-def _constant_pass(kernel, value, t, key, want_gradient):
+def _constant_pass(kernel, value, t, want_gradient):
     """Constant data v: u = v e^{ct} and grad u = 0, exactly; t may be an array of kernel times."""
     c = kernel.spec.reaction
     if np.ndim(t):
-        t = np.asarray(t)
         out = np.zeros((t.size, kernel.n)) if want_gradient else value * np.exp(c * t)
         return out, np.zeros(t.size)
     return (np.zeros(kernel.n) if want_gradient else value * math.exp(c * t)), 0.0
@@ -575,19 +579,10 @@ def _kink_route(kernel, data, x, t, want_gradient, tau, kinks):
 
 
 @lru_cache(maxsize=None)
-def _hermite_keys(start: int, dim: int):
-    """The Hermite ladder: a comparison order below start, then start doubled up to 256
-    within the node budget."""
-    orders = [max(start // 2, start - 16), start]
-    while orders[-1] < 256 and (2 * orders[-1]) ** dim <= _MAX_TENSOR_NODES:
-        orders.append(2 * orders[-1])
-    return tuple(orders)
+def _hermite_keys(dim: int):
+    """The kernel frame's Hermite ladder, 48 then 64 doubled up to 256, within the node budget."""
+    return tuple(order for order in (48, 64, 128, 256) if order**dim <= _MAX_TENSOR_NODES)
 
-
-# Starting Gauss-Hermite orders: with a Gaussian factor the rule is exact from order 4;
-# other data starts at 64, since orders 4 and 8 can both miss a narrow feature and agree
-_FACTOR_START_ORDER = 8
-_KERNEL_START_ORDER = 64
 # (Gauss-Legendre order, split of every panel) of the box rule, coarse first
 _BOX_RULES = ((8, 1), (12, 1), (12, 2))
 # Gauss-Legendre orders of the kink panels, coarse first
@@ -610,25 +605,29 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
     the rule leaves out; keys[0] names the coarse comparison rule and
     keys[1:] the ladder an unmet error estimate climbs. Data with a
     Gaussian factor takes _hermite_pass in the frame of its product with
-    the kernel, constant data its closed form, box data its Gaussian box
-    probability (_box_1d, _box_route), grid data its cells (_grid_1d in
-    closed form at n = 1), n = 1 data with kinks the kink panels and
-    everything else _hermite_pass in the kernel's own frame (q = 0). A
-    closed form (n = 1 boxes and grids, a box that clips at most one axis,
-    the gradient of one that clips two) is computed here, once, under the
-    key _CLOSED_FORM. An array t (several kernel times) gives results
-    stacked by time. A forcing that varies in time comes as data with tau,
-    its forcing times, one per kernel time; it takes the kink panels or the
-    kernel's frame. The Gaussian-factor, constant, n = 1 box and grid and
-    kink routes take all times in one call; every other route takes one
-    time at a time, a forcing at that time's tau.
+    the kernel at its one exact order, constant data its closed form, box
+    data its Gaussian box probability (_box_1d, _box_route), grid data its
+    cells (_grid_1d in closed form at n = 1), n = 1 data with kinks the
+    kink panels and everything else _hermite_pass in the kernel's own frame
+    (q = 0). A closed form (the Gaussian-factor pass, n = 1 boxes and
+    grids, a box that clips at most one axis, the gradient of one that
+    clips two) is computed here, once, under the key _CLOSED_FORM. An
+    array t (several kernel times) gives results stacked by time. A
+    forcing that varies in time comes as data with tau, its forcing times,
+    one per kernel time; it takes the kink panels or the kernel's frame.
+    The Gaussian-factor, constant, n = 1 box and grid and kink routes take
+    all times in one call, the others one time (and tau) at a time.
     """
     factor = None if tau is not None else data.gaussian_factor()
     if factor is not None:
-        center, precision, start = np.asarray(factor[0]), 0.25 / factor[1], _FACTOR_START_ORDER
+        center, spread, degree = factor
+        order = (degree + 3) // 2  # exact to degree 2 order - 1 per axis, the gradient's included
+        if order > 256 or order**kernel.n > _MAX_TENSOR_NODES:
+            raise QuadratureFailure(f"degree {degree} needs Hermite order {order}, over the budget")
+        frame = _product_frame(kernel, x, t, np.asarray(center), 0.25 / spread)
+        return _closed(_hermite_pass(kernel, data, frame, order, want_gradient, sup))
     elif isinstance(data, ConstantData):
-        return partial(_constant_pass, kernel, data.value, t,
-                       want_gradient=want_gradient), _CLOSED_FORM
+        return _closed(_constant_pass(kernel, data.value, t, want_gradient))
     elif isinstance(data, BoxIndicator) and data.n == 1:
         return _closed(_box_1d(kernel, data, x, t, want_gradient))
     elif isinstance(data, GridData) and data.n == 1:
@@ -640,8 +639,7 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
         routes = [_route(kernel, data, x, s, want_gradient, sup, at) for s, at in zip(t, taus)]
 
         def stacked(key):
-            parts = [rule(key) for rule, _ in routes]
-            return [part[0] for part in parts], [part[1] for part in parts]
+            return tuple(zip(*(rule(key) for rule, _ in routes)))
 
         # a closed form takes any key, so the ladder is that of the other times
         keys = next((keys for _, keys in routes if keys is not _CLOSED_FORM), _CLOSED_FORM)
@@ -652,9 +650,9 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
         return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
     else:
         # the kernel's own frame
-        center, precision, start = np.zeros(kernel.n), 0.0, _KERNEL_START_ORDER
-    return (partial(_hermite_pass, kernel, data, _product_frame(kernel, x, t, center, precision),
-                    want_gradient=want_gradient, sup=sup, tau=tau), _hermite_keys(start, kernel.n))
+        frame = _product_frame(kernel, x, t, np.zeros(kernel.n), 0.0)
+        return (partial(_hermite_pass, kernel, data, frame, want_gradient=want_gradient, sup=sup,
+                        tau=tau), _hermite_keys(kernel.n))
 
 
 def _magnitude(v) -> float:

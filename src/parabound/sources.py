@@ -51,11 +51,12 @@ class SourceFunction:
         return ()
 
     def gaussian_factor(self):
-        """(center, spread) when phi is exp(-|y - center|^2 / (4 spread)) times a
-        low-degree polynomial (covariance 2 spread I), else None (the default).
+        """(center, spread, degree) when phi is exp(-|y - center|^2 / (4 spread))
+        times a polynomial of total degree at most degree, else None (the default).
 
-        The solvers then integrate in the frame of the product of this
-        factor and the kernel.
+        The solvers integrate its product with the kernel by one unchecked
+        Gauss-Hermite rule, exact for that total degree (not the largest power:
+        A's eigenframe mixes the axes). A (center, spread) pair fails to unpack.
         """
         return None
 
@@ -104,7 +105,7 @@ class GaussianBump(SourceFunction):
         return abs(self.amp) * (4.0 * math.pi * self.spread / p) ** (self.n / (2.0 * p))
 
     def gaussian_factor(self):
-        return self.center, self.spread
+        return self.center, self.spread, 0
 
 
 @dataclass(frozen=True)
@@ -189,7 +190,7 @@ class PolynomialGaussian(SourceFunction):
         return abs(self.amp) * total ** (1.0 / p)
 
     def gaussian_factor(self):
-        return self.center, self.spread
+        return self.center, self.spread, sum(self.powers)
 
 
 @dataclass(frozen=True)

@@ -198,7 +198,8 @@ class _CountingSource(SourceFunction):
 
 
 class _CountingGaussian(_CountingSource):
-    """A counting wrapper that forwards gaussian_factor: the product-frame rule."""
+    """A counting wrapper that forwards gaussian_factor's (center, spread, degree): the
+    product-frame rule."""
 
     def gaussian_factor(self):
         return self.inner.gaussian_factor()
@@ -297,18 +298,23 @@ class TestPrunedRule:
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_gaussian_factor_takes_the_product_frame(self, n):
-        # orders 4 and 8 (the first two keys) agree on polygauss data, so the
-        # ladder stops after them
+        # the rule of order m = (degree + 3) // 2 is exact for the leftover polynomial and
+        # its gradient, so u and grad u take one pass of m^n nodes and no ladder
         rng = np.random.default_rng(60 + n)
         k = random_kernel(rng, n)
         powers = tuple(int(p) for p in rng.integers(0, 3, n))
         data = _CountingGaussian(PolynomialGaussian(center=tuple(rng.uniform(-1, 1, n)),
                                                     spread=0.3, powers=powers))
+        order = (sum(powers) + 3) // 2
         sv.solve_homogeneous(k, data, rng.uniform(-1, 1, n), 0.8)
-        assert data.sizes == [4**n, 8**n]
+        assert data.sizes == [order**n]
         data.sizes.clear()
         sv.gradient_homogeneous(k, data, rng.uniform(-1, 1, n), 0.8)
-        assert data.sizes == [4**n, 8**n]
+        assert data.sizes == [order**n]
+        # Gaussian data takes one node
+        bump = _CountingGaussian(GaussianBump(center=tuple(rng.uniform(-1, 1, n)), spread=0.3))
+        sv.gradient_homogeneous(k, bump, rng.uniform(-1, 1, n), 0.8)
+        assert bump.sizes == [1]
 
 
 class TestGridSolve:
@@ -405,7 +411,7 @@ class TestSolveNonhomogeneous:
         monkeypatch.setattr(sv, "_route", recording)
         cases = [
             (BoxIndicator(lo=(-0.5,), hi=(0.7,)), ["closed form"]),
-            (GaussianBump(center=(0.0,), spread=0.8), [8, 4]),
+            (GaussianBump(center=(0.0,), spread=0.8), ["closed form"]),
             (ConstantData(2.0), ["closed form"]),
         ]
         for profile, keys in cases:
@@ -477,7 +483,7 @@ def test_time_varying_forcing_without_kinks_takes_the_kernel_frame_per_tau(n, wa
     x, t = np.array([-0.1, 0.3, 0.0][:n]), 0.9
     times = (0.3 + 0.3 * sv.GK15_NODES) ** 2
     rule, keys = sv._route(k, forcing, x, times, want_gradient, 1.0, t - times)
-    assert keys == sv._hermite_keys(sv._KERNEL_START_ORDER, n)
+    assert keys == sv._hermite_keys(n)
     for key in keys[:2]:
         batched, dropped = rule(key)
         for i, (s, tau) in enumerate(zip(times, t - times)):
@@ -545,20 +551,62 @@ STIFF_DECAY = [
 ]
 
 
+# The same for polygauss forcing (y - x0)^k exp(-(y - x0)^2 / (4 spread)), k = 1 or 2, as
+# (a, b, c, t, x, x0, spread, k, u, du/dx): g(s) gains the factor E[Z^k] of
+# Z ~ N(d spread / w, 2 a s spread / w), and du/dx differentiates the product in d.
+STIFF_DECAY_POLYGAUSS = [
+    (1.0, 0.0, -1e2, 1.0, 0.3, 0.0, 1.0, 1, 2.8909467723644631752e-3, 9.2070398025888989106e-3),
+    (1.0, 0.0, -1e9, 1.0, 0.3, 0.0, 1.0, 1, 2.9332537072461266399e-10, 9.3375243018401582365e-10),
+    (1.0, 0.0, -1e14, 1.0, 0.3, 0.0, 1.0, 1, 2.9332537115799656493e-15, 9.3375243151962287616e-15),
+    (1.0, 0.0, -1e18, 1.0, 0.3, 0.0, 1.0, 1, 2.9332537115800089838e-19, 9.3375243151963623103e-19),
+    (1.0, 0.0, -1e20, 1.0, 0.3, 0.0, 1.0, 1, 2.9332537115800089881e-21, 9.3375243151963623235e-21),
+    (1.0, 0.0, -3e18, 1.0, 0.3, 0.0, 1.0, 1, 9.7775123719333632889e-20, 3.1125081050654541064e-19),
+    (1.0, 0.0, -1e2, 1.0, 0.3, 0.0, 1.0, 2, 1.0488747406630405008e-3, 5.5704410707446994047e-3),
+    (1.0, 0.0, -1e9, 1.0, 0.3, 0.0, 1.0, 2, 8.7997613084888653638e-11, 5.7345109891304093322e-10),
+    (1.0, 0.0, -1e14, 1.0, 0.3, 0.0, 1.0, 2, 8.7997611347417641271e-16, 5.7345110061387474965e-15),
+    (1.0, 0.0, -1e18, 1.0, 0.3, 0.0, 1.0, 2, 8.7997611347400268124e-20, 5.7345110061389175645e-19),
+    (1.0, 0.0, -1e20, 1.0, 0.3, 0.0, 1.0, 2, 8.7997611347400266404e-22, 5.7345110061389175814e-21),
+    (1.3, 0.5, -40.0, 2.5, -0.4, 0.2, 0.7, 1, -1.2238621898480315079e-2, 1.5866177554253767966e-2),
+    (1.3, 0.5, -4e7, 2.5, -0.4, 0.2, 0.7, 1, -1.3190260197105003649e-8, 1.6330799177497362287e-8),
+    (1.3, 0.5, -4e13, 2.5, -0.4, 0.2, 0.7, 1, -1.3190261241108546182e-14, 1.6330799631849512557e-14),
+    (1.3, 0.5, -4e19, 2.5, -0.4, 0.2, 0.7, 1, -1.3190261241109590186e-20, 1.633079963184996691e-20),
+    (1.3, 0.5, -6e17, 2.5, -0.4, 0.2, 0.7, 1, -8.7935074940730600782e-19, 1.0887199754566644586e-18),
+    (1.3, 0.5, -40.0, 2.5, -0.4, 0.2, 0.7, 2, 8.2019596565181894932e-3, -2.0211746485567195942e-2),
+    (1.3, 0.5, -4e7, 2.5, -0.4, 0.2, 0.7, 2, 7.9141570148866802192e-9, -2.2988737819729440952e-8),
+    (1.3, 0.5, -4e13, 2.5, -0.4, 0.2, 0.7, 2, 7.9141567446660247723e-15, -2.2988741020216370386e-14),
+    (1.3, 0.5, -4e19, 2.5, -0.4, 0.2, 0.7, 2, 7.9141567446657545517e-21, -2.2988741020219570874e-20),
+    (1.3, 0.5, -1e19, 2.5, -0.4, 0.2, 0.7, 2, 3.165662697866301821e-20, -9.1954964080878283456e-20),
+]
+
+
 class TestStiffDecay:
     @pytest.mark.parametrize("a, b, c, t, x, x0, spread, u_ref, du_ref", STIFF_DECAY)
     def test_gaussian_forcing_matches_reference(self, a, b, c, t, x, x0, spread, u_ref, du_ref):
-        # before the decay edges, |c| t from about 2e8 up gave u and du/dx 100% off with no error
+        # before the decay edges, |c| t from about 2e8 up gave u and du/dx 100% off with no error;
+        # the order-1 product-frame rule has no +-xi node pairs whose difference loses digits
+        # as sigma^2 ~ 1/|c| shrinks, so du/dx meets its target at every scale too
         k = make_kernel([[a]], [b], c)
         f = TimeInvariantForcing(GaussianBump(center=(x0,), spread=spread))
         target = sv.DEFAULT_QUADRATURE.target_rel_err
         assert abs(sv.solve_nonhomogeneous(k, f, [x], t) - u_ref) <= target * abs(u_ref)
-        # du/dx of the product frame loses digits as sigma^2 ~ 1/|c| shrinks: from
-        # |c| t ~ 1e18 it misses its target and says so
+        du = sv.gradient_nonhomogeneous(k, f, [x], t)[0]
+        assert abs(du - du_ref) <= target * abs(du_ref)
+
+    @pytest.mark.parametrize("a, b, c, t, x, x0, spread, k, u_ref, du_ref", STIFF_DECAY_POLYGAUSS)
+    def test_polygauss_forcing_matches_reference_or_fails(self, a, b, c, t, x, x0, spread, k,
+                                                          u_ref, du_ref):
+        # from order 2 the rule has +-xi pairs, whose differences carry the values' roundoff
+        # times ~ sqrt|c|; its bound joins the estimate, so du/dx meets the target up to
+        # |c| t ~ 1e15 and beyond raises QuadratureFailure, never a silent miss (without the
+        # bound, the rows at c = -3e18, -6e17 and -1e19 missed by 1.1e-8 to 7.4e-8)
+        kern = make_kernel([[a]], [b], c)
+        f = TimeInvariantForcing(PolynomialGaussian(center=(x0,), spread=spread, powers=(k,)))
+        target = sv.DEFAULT_QUADRATURE.target_rel_err
+        assert abs(sv.solve_nonhomogeneous(kern, f, [x], t) - u_ref) <= target * abs(u_ref)
         try:
-            du = sv.gradient_nonhomogeneous(k, f, [x], t)[0]
+            du = sv.gradient_nonhomogeneous(kern, f, [x], t)[0]
         except QuadratureFailure:
-            assert -c * t >= 1e18
+            assert abs(c) * t > 1e15
         else:
             assert abs(du - du_ref) <= target * abs(du_ref)
 
@@ -630,8 +678,9 @@ class TestErrorPaths:
             sv.gradient_nonhomogeneous(k, box, [0.49, 0.2], 0.3)
 
     def test_low_start_order_escalates_past_four_rules(self):
-        # the ladder doubles up to 256 however low it starts
-        assert sv._hermite_keys(16, 1) == (8, 16, 32, 64, 128, 256)
+        # the kernel frame's ladder doubles up to 256 within the node budget
+        assert sv._hermite_keys(1) == (48, 64, 128, 256)
+        assert sv._hermite_keys(3) == (48, 64, 128)
         # kernel frame: orders 48/64/128 leave an estimate of 3e-8; the
         # ladder goes on to 256
         quad = sv.DEFAULT_QUADRATURE
@@ -641,6 +690,21 @@ class TestErrorPaths:
         assert data.sizes[-1] == len(sv.pruned_hermite_tensor(256, 1)[1])
         exact = gaussian_closed_form(HEAT_1D, phi, [0.5], 2.0)[0]
         assert abs(u - exact) <= quad.target_rel_err * exact
+
+    @pytest.mark.parametrize("powers", [(600,), (300, 300), (85, 85, 85)])
+    def test_exact_order_beyond_the_budget_is_quadrature_failure(self, powers):
+        # order 301 lies past 256, the top of every Hermite ladder (numpy's weights are NaN
+        # from 384), and order 129 at n = 3 needs 129^3 > 2^21 nodes: the solve raises
+        # before it evaluates the data at any node
+        n = len(powers)
+        data = _CountingGaussian(PolynomialGaussian(center=(0.0,) * n, spread=1e-3,
+                                                    powers=powers))
+        k = make_kernel(np.eye(n), np.zeros(n), 0.0)
+        with pytest.raises(QuadratureFailure, match="over the budget"):
+            sv.gradient_homogeneous(k, data, np.full(n, 0.1), 0.5)
+        with pytest.raises(QuadratureFailure, match="over the budget"):
+            sv.solve_nonhomogeneous(k, TimeInvariantForcing(data), np.full(n, 0.1), 0.5)
+        assert data.sizes == []
 
     def test_quadrature_failure_on_underresolved_data(self):
         # in the kernel frame no rule up to order 256 resolves the bump

@@ -43,9 +43,12 @@ class TestPresets:
 
     def test_gaussian_factor(self):
         g = GaussianBump(center=(0.5, -1.0), spread=0.3, amp=2.0)
-        assert g.gaussian_factor() == ((0.5, -1.0), 0.3)
+        assert g.gaussian_factor() == ((0.5, -1.0), 0.3, 0)
         pg = PolynomialGaussian(center=(0.2,), spread=0.6, powers=(2,))
-        assert pg.gaussian_factor() == ((0.2,), 0.6)
+        assert pg.gaussian_factor() == ((0.2,), 0.6, 2)
+        # the total degree, not the largest power: A's eigenframe mixes the axes
+        pg = PolynomialGaussian(center=(0.2, 0.1, 0.0), spread=0.6, powers=(2, 3, 0))
+        assert pg.gaussian_factor() == ((0.2, 0.1, 0.0), 0.6, 5)
         assert BoxIndicator(lo=(-1.0,), hi=(1.0,)).gaussian_factor() is None
         assert ConstantData(1.0).gaussian_factor() is None
 
