@@ -3,8 +3,9 @@
 Three families: tensor Gauss-Hermite rules matched to the whitened kernel
 weight exp(-|xi|^2), composite Gauss-Legendre panels with dyadic grading
 toward marked kink locations (used where integrands carry |.|^q kinks or
-sign jumps that would wreck a plain Hermite rule), and the G7K15
-Gauss-Kronrod pair of the solver's adaptive Duhamel rule.
+sign jumps that would wreck a plain Hermite rule; solver and oracles
+grade to one depth, KINK_LEVELS), and the G7K15 Gauss-Kronrod pair of
+the solver's adaptive Duhamel rule.
 """
 
 from __future__ import annotations
@@ -19,6 +20,9 @@ HERMITE_PRUNE_REL = 1e-18
 # Half-width, in kernel standard deviations, of the windows outside which
 # the solver and the oracles drop the kernel (a tail below e^{-72}).
 TRUNCATION_RADIUS = 12.0
+# Dyadic levels of the grading toward a kink, down to 2^-24 of the interval
+# (some 70 panels for one kink); 44 levels change no answer beyond roundoff.
+KINK_LEVELS = 24
 
 # The G7K15 pair on [-1, 1], from QUADPACK's qk15 (Piessens et al. 1983): the
 # 15 Kronrod nodes in ascending order and their weights (exact to degree 22),
@@ -127,7 +131,7 @@ def legendre_rule(order: int):
     return x, w
 
 
-def panel_edges(lo: float, hi: float, kinks=(), base_panels: int = 32, levels: int = 44):
+def panel_edges(lo: float, hi: float, kinks=(), base_panels: int = 32, levels: int = KINK_LEVELS):
     """Panel edges on [lo, hi]: uniform base grid plus dyadic grading.
 
     Around every interior kink the edges refine geometrically down to
@@ -137,7 +141,7 @@ def panel_edges(lo: float, hi: float, kinks=(), base_panels: int = 32, levels: i
     return panel_edges_batch([lo], [hi], [kinks], base_panels, levels)[0]
 
 
-def panel_edges_batch(lo, hi, kinks, base_panels: int = 32, levels: int = 44):
+def panel_edges_batch(lo, hi, kinks, base_panels: int = 32, levels: int = KINK_LEVELS):
     """panel_edges of many intervals [lo_i, hi_i] at once, each with its own kinks (kinks[i]).
 
     Returns the edges of every interval, concatenated, and their number per

@@ -36,7 +36,8 @@ solver and for every sigma node of the Duhamel solver alike:
   lies in one cell. Orders climb from 1 (the midpoint rule) to 12, each
   compared with the one before.
 - n = 1 data with kinks (the extremal |.|^q profiles) takes composite
-  Gauss-Legendre panels graded toward the kinks, orders 12 and 8.
+  Gauss-Legendre panels graded toward the kinks down to 2^-24 of the
+  window (quadrature.KINK_LEVELS), orders 12 and 8.
 - Everything else (extremal for n >= 2, custom data) takes the same pass
   at q = 0 and center 0, the kernel alone (A = Q diag(lam) Q^T):
 

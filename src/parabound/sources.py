@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MalformedGridFile
-from .mathcore import gamma
+from .errors import DomainError, FloatOverflow, MalformedGridFile
+from .mathcore import LOG_FLOAT_MAX
 
 GRID_MAGIC = b"PBGR"
 GRID_VERSION = 1
@@ -176,18 +176,21 @@ class PolynomialGaussian(SourceFunction):
         return self.amp * poly * np.exp(-np.einsum("ij,ij->i", d, d) / (4.0 * self.spread))
 
     def lp_norm(self, p):
-        if p == math.inf:
-            # per-axis maximum of |z|^k e^{-z^2/(4 spread)} at z^2 = 2 k spread
-            out = abs(self.amp)
-            for k in self.powers:
-                if k:
-                    out *= (2.0 * self.spread * k) ** (k / 2.0) * math.exp(-k / 2.0)
-            return out
-        total = 1.0
+        """The L^p norm in closed form, in logs: FloatOverflow only where it exceeds float64."""
+        if self.amp == 0.0:
+            return 0.0
+        log_norm = math.log(abs(self.amp))
         for k in self.powers:
-            m = p * k
-            total *= gamma((m + 1.0) / 2.0) * (4.0 * self.spread / p) ** ((m + 1.0) / 2.0)
-        return abs(self.amp) * total ** (1.0 / p)
+            if p == math.inf:
+                # per-axis maximum of |z|^k e^{-z^2/(4 spread)} at z^2 = 2 k spread
+                if k:
+                    log_norm += 0.5 * k * (math.log(2.0 * self.spread * k) - 1.0)
+            else:
+                m = 0.5 * (p * k + 1.0)
+                log_norm += (math.lgamma(m) + m * math.log(4.0 * self.spread / p)) / p
+        if log_norm > LOG_FLOAT_MAX:
+            raise FloatOverflow(f"polygauss L^{p} norm e^{log_norm:.6g} overflows float64")
+        return math.exp(log_norm)
 
     def gaussian_factor(self):
         return self.center, self.spread, sum(self.powers)

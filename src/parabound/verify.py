@@ -43,10 +43,6 @@ ORACLE_MAX_DIM = 3
 # Node scale factor for the mass oracle; deliberately != 1 so the rule is a
 # genuine quadrature of kernel values rather than a weight-sum identity.
 MASS_NODE_SCALE = 0.8
-# Dyadic levels of the kink grading in the gradient oracles' outer rules:
-# 24 levels (70 panels) move every shipped check by at most 4.4e-16
-# relative from 44 levels (110 panels).
-_KINK_LEVELS = 24
 
 
 def random_problem(rng: np.random.Generator, n: int, horizon: float = 8.0) -> ProblemSpec:
@@ -129,13 +125,13 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     """Integral over R^n of |(grad G(y, t), l)|^{p'} dy, by quadrature.
 
     The outer variable runs along the direction where the integrand
-    changes sign (Gauss-Legendre panels graded _KINK_LEVELS times toward
-    that split); the remaining coordinates are integrated by Gauss-Hermite
-    against the kernel's conditional Gaussian, of order 32 for p' <= 2 and
-    96 above, where the integrand's Gaussian is narrower than the rule's
-    weight. Kernel gradients enter as black-box point evaluations. t may
-    also be an array of times, with one integral per time: at n = 1 they
-    take one kernel call, at n >= 2 one call each.
+    changes sign (Gauss-Legendre panels graded toward that split); the
+    remaining coordinates are integrated by Gauss-Hermite against the
+    kernel's conditional Gaussian, of order 32 for p' <= 2 and 96 above,
+    where the integrand's Gaussian is narrower than the rule's weight.
+    Kernel gradients enter as black-box point evaluations, all of one time
+    in one call. t may also be an array of times, with one integral per
+    time: at n = 1 they take one kernel call, at n >= 2 one call each.
     """
     n = kernel.n
     if n > ORACLE_MAX_DIM:
@@ -149,19 +145,15 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     q_rot, shift, chol = _directional_kink_frame(kernel, ell, t)
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
     radius = TRUNCATION_RADIUS * sigma
-    z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,), levels=_KINK_LEVELS),
-                         order=12)
-    center = -t * kernel.spec.drift
+    z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,)), order=12)
     xi, wx = hermite_tensor(32 if p_conj <= 2.0 else 96, n - 1)
     qx = np.einsum("ij,ij->i", xi, xi)
     total_wx = np.exp(np.log(wx) + qx)
     rest = 2.0 * math.sqrt(t) * (xi @ chol.T)
-    # z coordinates for every (outer, inner) pair
-    z_rest = z1[:, None, None] * shift[None, None, :] + rest[None, :, :]
-    z_full = np.concatenate(
-        [np.broadcast_to(z1[:, None, None], z_rest.shape[:2] + (1,)), z_rest], axis=2
-    )
-    pts = center[None, None, :] + z_full @ q_rot.T
+    # y = center + Q z with z = (z1, shift z1 + rest), as one outer sum over (outer, inner)
+    inner = rest @ q_rot[:, 1:].T - t * kernel.spec.drift
+    along = q_rot[:, 0] + q_rot[:, 1:] @ shift
+    pts = inner[None, :, :] + z1[:, None, None] * along
     flat = pts.reshape(-1, n)
     vals = np.abs(kernel.gradient(flat, t) @ ell) ** p_conj
     vals = vals.reshape(z1.size, xi.shape[0])
@@ -172,12 +164,12 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
 
 @lru_cache(maxsize=1)
 def _window_rule():
-    """Order-12 Gauss-Legendre panels on +- TRUNCATION_RADIUS, graded _KINK_LEVELS times toward 0.
+    """Order-12 Gauss-Legendre panels on +- TRUNCATION_RADIUS, graded toward 0.
 
     The n = 1 oracles scale it by each kernel time's sigma onto the window
     around the kernel's center, where their integrands change sign.
     """
-    edges = panel_edges(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, kinks=(0.0,), levels=_KINK_LEVELS)
+    edges = panel_edges(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, kinks=(0.0,))
     nodes, weights = panel_nodes(edges, order=12)
     nodes.setflags(write=False)
     weights.setflags(write=False)
@@ -598,8 +590,8 @@ def sphere_surface_oracle(n: int, p_conj: float, v) -> float:
     """Surface quadrature of |(e, v)|^{p'} over the unit sphere (n = 2, 3).
 
     Rotates v to the pole, then integrates with kink-split Gauss-Legendre
-    panels in the polar angle (times the azimuthal circumference for
-    n = 3, by trapezoid summation).
+    panels in the polar angle; at n = 3 the azimuth takes the 64-point
+    trapezoid rule, the 64 x theta grid in one array pass.
     """
     v = np.asarray(v, dtype=float)
     rot = _rotation_to_axis(v)
@@ -613,16 +605,12 @@ def sphere_surface_oracle(n: int, p_conj: float, v) -> float:
         # polar axis along the rotated image of v so the |.|^{p'} kink
         # lies exactly on the theta = pi/2 panel split
         theta, w_th = panel_nodes(panel_edges(0.0, math.pi, kinks=(0.5 * math.pi,)))
-        phis = np.linspace(0.0, 2.0 * math.pi, 65)[:-1]
-        w_phi = 2.0 * math.pi / 64
-        acc = 0.0
-        for phi in phis:
-            e = np.stack(
-                [np.cos(theta), np.sin(theta) * math.cos(phi), np.sin(theta) * math.sin(phi)],
-                axis=1,
-            ) @ rot.T
-            acc += w_phi * float((w_th * np.sin(theta)) @ np.abs(e @ v) ** p_conj)
-        return acc
+        phi = np.linspace(0.0, 2.0 * math.pi, 65)[:-1, None]
+        sin_th = np.sin(theta)
+        # (e, v) over the 64 x theta grid: e = rot (cos theta, sin theta cos phi, sin theta sin phi)
+        rv = rot.T @ v
+        dots = rv[0] * np.cos(theta) + sin_th * (rv[1] * np.cos(phi) + rv[2] * np.sin(phi))
+        return 2.0 * math.pi / 64 * float((np.abs(dots) ** p_conj @ (w_th * sin_th)).sum())
     raise UnsupportedData("surface oracle implemented for n in {2, 3}")
 
 

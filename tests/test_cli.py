@@ -131,6 +131,18 @@ class TestOverflow:
         assert "Traceback" not in result.stderr
         assert "overflows float64" in result.stderr
 
+    def test_polygauss_high_power(self, capsys):
+        # the sup norm of powers=600 is e^1827 at spread 1 (exit 2); at spread 0.001 it is
+        # finite, and the solver's order guard refuses degree 600 (exit 4)
+        spec = json.dumps({"n": 1, "A": [[1]], "b": [0], "c": 0, "T": 8})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for spread, code in (("1", 2), ("0.001", 4)):
+                assert run_cli(["solve", "--spec-json", spec, "--kind", "hom", "--data",
+                                f"polygauss:powers=600,spread={spread}",
+                                "--points", "0.1,0.5"]) == code
+        assert "overflows float64" in capsys.readouterr().err
+
     def test_large_positive_reaction_is_finite(self, tmp_path):
         spec = {"n": 1, "A": [[1]], "b": [0], "c": 20, "T": 8}
         out = tmp_path / "c.json"

@@ -11,7 +11,7 @@ from parabound import solver as sv
 from parabound.errors import DomainError, FloatOverflow, QuadratureFailure, UnsupportedData
 from parabound.kernel import FundamentalSolution
 from parabound.quadrature import panel_edges, panel_nodes
-from parabound.verify import ExtremalTarget, extremal_forcing
+from parabound.verify import ExtremalTarget, extremal_forcing, extremal_initial_data
 from parabound.sources import (
     BoxIndicator,
     ConstantData,
@@ -425,13 +425,26 @@ class TestSolveNonhomogeneous:
         assert used == [(15, 12), (15, 8)] * 4
 
 
+def _kink_reference(k, data, x, s, order, want_gradient, kinks, tau=None):
+    """One kernel time's kink panels graded to 2^-44, node by node: the route's deep reference."""
+    reach = sv.TRUNCATION_RADIUS * 2.0 * math.sqrt(float(k.dec.eigenvalues[-1]) * s)
+    center = x[0] + float(k.spec.drift[0]) * s
+    edges = panel_edges(center - reach, center + reach, kinks, levels=44)
+    nodes, weights = panel_nodes(edges, order)
+    args = (x[0] - nodes)[:, None]
+    kern = k.gradient(args, s)[:, 0] if want_gradient else k.value(args, s)
+    vals = data(nodes[:, None]) if tau is None else data(nodes[:, None], tau)
+    return weights @ (kern * vals), edges.size - 1
+
+
 class TestKinkRoute:
     @pytest.mark.parametrize("mollify", [0.3, 0.03])
     @pytest.mark.parametrize("want_gradient", [False, True])
     def test_batched_route_matches_per_node_scalar_tau(self, mollify, want_gradient):
         # one sigma panel of a p = inf extremal forcing: with b != 0 and x != x0 the kink
         # x0 + (t0 - tau) b moves with tau, and leaves the window of the smallest kernel
-        # times, so the nodes' panel counts differ; the reference routes node by node
+        # times, so the nodes' panel counts differ; the reference routes node by node,
+        # graded 20 levels deeper than the route
         k = make_kernel([[1.3]], [0.5], -0.25)
         target = ExtremalTarget(x0=(0.2,), t0=0.9, p=math.inf, direction=(1.0,), mollify=mollify)
         forcing = extremal_forcing(k, target)
@@ -444,18 +457,31 @@ class TestKinkRoute:
             batched, dropped = rule(order)
             assert np.shape(batched) == ((15, 1) if want_gradient else (15,))
             assert np.array_equal(dropped, np.zeros(15))
-            reference, panels = [], set()
-            for s, tau in zip(times.tolist(), (t - times).tolist()):
-                reach = sv.TRUNCATION_RADIUS * 2.0 * math.sqrt(1.3 * s)
-                center = x[0] + 0.5 * s
-                edges = panel_edges(center - reach, center + reach, forcing.spatial_kinks(tau))
-                panels.add(edges.size - 1)
-                nodes, weights = panel_nodes(edges, order)
-                args = (x[0] - nodes)[:, None]
-                kern = k.gradient(args, s)[:, 0] if want_gradient else k.value(args, s)
-                reference.append(weights @ (kern * forcing(nodes[:, None], tau)))
-            assert len(panels) > 1
+            reference, panels = zip(*(
+                _kink_reference(k, forcing, x, s, order, want_gradient,
+                                forcing.spatial_kinks(tau), tau)
+                for s, tau in zip(times.tolist(), (t - times).tolist())))
+            assert len(set(panels)) > 1
             assert np.all(np.abs(np.ravel(batched) - reference) <= 1e-14 * np.abs(reference))
+
+    # p = 4 and 16 give the algebraic kinks |k|^{1/3} and |k|^{1/15}, p = inf the jump -sign(k)
+    @pytest.mark.parametrize("p", [4.0, 16.0, math.inf])
+    @pytest.mark.parametrize("want_gradient", [False, True])
+    def test_homogeneous_extremal_data_matches_deeper_grading(self, p, want_gradient):
+        k = make_kernel([[1.3]], [0.5], -0.25)
+        target = ExtremalTarget(x0=(0.2,), t0=0.7, p=p, direction=(1.0,))
+        data = extremal_initial_data(k, target)
+        # off x0, where u (an odd profile about the kink, at t = t0) is no roundoff-level 0
+        x = np.array([-0.4])
+        for t in (0.05, 0.7, 2.5):
+            rule, keys = sv._route(k, data, x, t, want_gradient, data.sup_norm())
+            assert keys == sv._KINK_RULES
+            for order in keys:
+                value, dropped = rule(order)
+                reference, _ = _kink_reference(k, data, x, t, order, want_gradient,
+                                               data.kinks_1d())
+                assert dropped == 0.0
+                assert abs(float(np.ravel(value)[0]) - reference) <= 1e-14 * abs(reference)
 
 
 class _AtTau(SourceFunction):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from parabound.errors import DomainError, MalformedGridFile
+from parabound.errors import DomainError, FloatOverflow, MalformedGridFile
 from parabound.sources import (
     BoxIndicator,
     ConstantData,
@@ -60,6 +60,23 @@ class TestPresets:
             quad = np.trapezoid(np.abs(vals) ** p, ys) ** (1.0 / p)
             assert pg.lp_norm(p) == pytest.approx(quad, rel=1e-10)
         assert pg.sup_norm() == pytest.approx(np.abs(vals).max(), rel=1e-6)
+
+    def test_polynomial_gaussian_norms_at_high_powers(self):
+        # in logs: a power whose float factors overflow gives the norm when it is finite
+        # (30-digit mpmath references), FloatOverflow only when the norm itself is not
+        cases = [(0.001, (600,), 1.0, math.inf, 2.9243492828988805224e-107),
+                 (1.0, (300,), 1e-300, math.inf, 3.7889185732774593539e+51),
+                 (0.1, (200,), 1.0, 2.0, 6.328607615874211382e+116),
+                 (0.1, (200, 3), 1.0, 2.0, 6.9007892800285754389e+115)]
+        for spread, powers, amp, p, reference in cases:
+            pg = PolynomialGaussian(center=(0.0,) * len(powers), spread=spread, powers=powers,
+                                    amp=amp)
+            assert pg.lp_norm(p) == pytest.approx(reference, rel=1e-12)
+        for amp in (1.0, 1e-300):
+            with pytest.raises(FloatOverflow):
+                PolynomialGaussian(center=(0.0,), spread=1.0, powers=(600,), amp=amp).sup_norm()
+        zero = PolynomialGaussian(center=(0.0,), spread=1.0, powers=(600,), amp=0.0)
+        assert zero.sup_norm() == 0.0
 
     def test_constant(self):
         c = ConstantData(3.0, dim=2)

@@ -343,7 +343,7 @@ class TestSphereSurfaceOracle:
             pc = float(rng.uniform(1.0, 2.5))
             closed = sphere_integral(n, pc, v)
             surf = vf.sphere_surface_oracle(n, pc, v)
-            assert abs(closed - surf) <= 1e-8 * closed
+            assert abs(closed - surf) <= 1e-13 * closed
 
 
 class TestSuite:
