@@ -14,18 +14,15 @@ solver and for every sigma node of the Duhamel solver alike:
   over, of total degree d, exactly for u and grad u: a closed form.
 - Constant data v takes the closed form u = v e^{ct}, grad u = 0.
 - Box data amp 1[lo, hi] gives u = e^{ct} amp P(lo <= Y <= hi) with
-  Y ~ N(x + t b, 2 t A). Axes whose window x_j + t b_j +-
-  TRUNCATION_RADIUS sqrt(2 t A_jj) lies inside the box integrate out; on
-  the axes the box clips, the last integrates in closed form (erfc)
-  against its normal law given the others (Genz's separation of
-  variables, J. Comput. Graph. Stat. 1, 1992), and the others take
-  tensor composite Gauss-Legendre over the box clipped to the window, on
-  panels at most 2 sqrt(2 t A_jj) wide, narrower where a strong
-  correlation narrows the integrand. grad u sums the box faces: the
-  density of Y_j at a face times the box probability of the other axes
-  given Y_j there. So n = 1 needs no quadrature, and at n = 2 u is a 1-D
-  rule and grad u closed form; a closed form is computed once per solve.
-  Orders 12 and 8 on the same panels are compared, then halved panels.
+  Y ~ N(x + t b, 2 t A), in units of the sds of Y (_standard). At n = 1
+  it is a difference of erfc, at n = 2 four bivariate normal orthants
+  (_bvn, Genz's algorithm), and grad u sums the box faces: the density of
+  Y_j there times the box probability of the other axes given Y_j, a
+  bivariate normal at n = 3. These closed forms take all kernel times of
+  a call in one pass. n = 3 u integrates Y_1 by graded composite
+  Gauss-Legendre against the bivariate normal of the others given it
+  (_box_mass), orders 8 and 12 compared, then halved panels, unless an
+  axis whose window lies inside the box integrates out.
 - Grid data stands for its multilinear interpolant. At n = 1 it is in
   closed form: against the normal law of Y each linear cell is a
   difference of normal CDFs and densities, and grad u differentiates the
@@ -110,7 +107,7 @@ from .sources import (
 )
 
 SOLVER_MAX_DIM = 3
-# Largest tensor rule (Hermite order^n nodes, or box and grid panel nodes) a solve may evaluate.
+# Largest tensor rule (Hermite order^n nodes, or grid panel nodes) a solve may evaluate.
 _MAX_TENSOR_NODES = 2**21
 # Edges of the Duhamel rule's starting sigma panels, as fractions of sqrt t: graded toward
 # sigma = 0, where the kernel is narrowest; and the most panels bisection may reach
@@ -263,40 +260,23 @@ def _constant_pass(kernel, value, t, want_gradient):
     return (np.zeros(kernel.n) if want_gradient else value * math.exp(c * t)), 0.0
 
 
-def _clip_to_window(kernel, x, t, lo, hi):
-    """[lo, hi] clipped to the window x + t b +- TRUNCATION_RADIUS sigma_j, sigma_j = sqrt(2 t A_jj).
-
-    Returns the clipped ends, sigma and the axes on which [lo, hi] cuts the
-    window, or None when the two do not meet.
-    """
-    mean = x + t * kernel.spec.drift
-    sigma = np.sqrt(2.0 * t * kernel.spec.diffusion.entries.diagonal())
-    reach = TRUNCATION_RADIUS * sigma
-    lo, hi = np.maximum(lo, mean - reach), np.minimum(hi, mean + reach)
-    if (hi <= lo).any():
-        return None
-    return lo, hi, sigma, ((lo > mean - reach) | (hi < mean + reach)).nonzero()[0]
-
-
-def _tensor_rule(breaks, sigma, rule):
+def _tensor_rule(breaks, sigma, order):
     """Tensor composite Gauss-Legendre nodes (m, k) and weights over the box the breaks span.
 
-    rule = (order, split): on axis j each interval between breaks is cut
-    into as many equal panels as keep the widest at most 2 sigma_j, and
-    each of those into split, so a finer split always adds nodes. A rule
-    over _MAX_TENSOR_NODES nodes raises QuadratureFailure.
+    On axis j each interval between breaks is cut into as many equal panels
+    as keep the widest at most 2 sigma_j. A rule over _MAX_TENSOR_NODES
+    nodes raises QuadratureFailure.
     """
-    order, split = rule
     edges = []
     for cuts, sd in zip(breaks, sigma):
         lengths = cuts[1:] - cuts[:-1]
-        count = split * math.ceil(float(lengths.max()) / (2.0 * sd))
+        count = math.ceil(float(lengths.max()) / (2.0 * sd))
         # start + k * step in each interval, as np.linspace computes its points
         inner = (lengths / count)[:, None] * np.arange(count) + cuts[:-1, None]
         edges.append(np.concatenate((inner.ravel(), cuts[-1:])))
     size = math.prod(e.size - 1 for e in edges) * order ** len(edges)
     if size > _MAX_TENSOR_NODES:
-        raise QuadratureFailure(f"box rule needs {size} nodes, over the budget {_MAX_TENSOR_NODES}")
+        raise QuadratureFailure(f"grid rule needs {size} nodes, over the budget {_MAX_TENSOR_NODES}")
     axes = [panel_nodes(e, order) for e in edges]
     weights = reduce(np.multiply.outer, [w for _, w in axes]).reshape(-1)
     return _lattice([nodes for nodes, _ in axes]), weights
@@ -306,6 +286,13 @@ def _tensor_rule(breaks, sigma, rule):
 _erfc = np.frompyfunc(math.erfc, 1, 1)
 _SQRT_HALF = math.sqrt(0.5)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+# |z| beyond which the standard normal density and tail mass are 0 in float64
+_Z_MAX = 40.0
+
+
+def _upper(z):
+    """P(Z > z) for a standard normal Z, elementwise."""
+    return 0.5 * np.asarray(_erfc(z * _SQRT_HALF), dtype=float)
 
 
 def _normal_mass(a, b):
@@ -319,10 +306,14 @@ def _normal_mass(a, b):
     return np.copysign(0.5, scale) * np.asarray(_erfc(a * scale) - _erfc(b * scale), dtype=float)
 
 
-def _normal_density(v, mean, sd):
-    """The N(mean, sd^2) density at v, elementwise; 0 at an infinite v."""
-    z = (v - mean) / sd
-    return np.exp(-0.5 * z * z) / (_SQRT_2PI * sd)
+def _standard(v, mean, sd):
+    """(v - mean) / sd elementwise, clipped to +-_Z_MAX before the division.
+
+    Beyond _Z_MAX nothing of a standard normal is left in float64, so the
+    clip changes no answer, and no z overflows or is squared beyond float64.
+    """
+    reach = _Z_MAX * sd
+    return np.minimum(np.maximum(v - mean, -reach), reach) / sd
 
 
 def _box_1d(kernel, box, x, t, want_gradient):
@@ -335,7 +326,9 @@ def _box_1d(kernel, box, x, t, want_gradient):
     sd = np.sqrt(2.0 * t * kernel.spec.diffusion.entries[0, 0])
     (lo,), (hi,) = box.lo, box.hi
     if want_gradient:
-        part = _normal_density(lo, mean, sd) - _normal_density(hi, mean, sd)
+        # the density squares z, which erfc never does: only it needs the clip
+        za, zb, norm = _standard(lo, mean, sd), _standard(hi, mean, sd), _SQRT_2PI * sd
+        part = np.exp(-0.5 * za * za) / norm - np.exp(-0.5 * zb * zb) / norm
     else:
         part = _normal_mass((lo - mean) / sd, (hi - mean) / sd)
     if np.ndim(t):
@@ -343,6 +336,219 @@ def _box_1d(kernel, box, x, t, want_gradient):
         return (out[:, None] if want_gradient else out), np.zeros(np.size(t))
     out = box.amp * (math.exp(kernel.spec.reaction * t) * float(part))
     return (np.array([out]) if want_gradient else out), 0.0
+
+
+def _drezner(h, k, rho):
+    """P(X > h, Y > k) for |rho| < 0.925, elementwise (_bvn's first branch)."""
+    x, w = legendre_rule(20)
+    half = 0.5 * np.arcsin(rho)[..., None]
+    sn = np.sin(half * (x + 1.0))
+    hk, hs = (h * k)[..., None], (0.5 * (h * h + k * k))[..., None]
+    terms = np.exp((sn * hk - hs) / (1.0 - sn * sn)) @ w
+    return half[..., 0] * terms / (2.0 * math.pi) + _upper(h) * _upper(k)
+
+
+def _bvn(h, k, rho):
+    """P(X > h, Y > k) for standard normals X, Y of correlation rho, |rho| < 1, elementwise.
+
+    Genz's algorithm (Stat. Comput. 14, 2004), after Drezner & Wesolowsky
+    (J. Stat. Comput. Simul. 35, 1990), with 20 Gauss-Legendre nodes;
+    |h|, |k| <= _Z_MAX. For |rho| < 0.925, in theta = asin r (_drezner),
+    P = Phi(-h) Phi(-k) + 1/(2 pi) int_0^{asin rho} exp(-(h^2 + k^2 -
+    2 h k sin theta) / (2 cos^2 theta)) dtheta. Else, with k -> -k for
+    rho < 0, P = Phi(-max(h, k)) - I for rho > 0 and P(h < Z < -k) + I for
+    rho < 0, where I = 1/(2 pi) int_0^{sqrt(1 - rho^2)} exp(-(h - k)^2 /
+    (2 x^2) - h k / (1 + r)) / r dx, r = sqrt(1 - x^2). The rule takes the
+    integrand less exp(-(h - k)^2 / (2 x^2) - h k / 2) (1 + c x^2 (1 +
+    5 d x^2)), c = (4 - h k) / 8, d = (12 - h k) / 80, whose integral is
+    closed form.
+    """
+    h, k, rho = (np.asarray(v, dtype=float) for v in (h, k, rho))
+    low = np.abs(rho) < 0.925
+    if low.all():
+        out = _drezner(h, k, rho)
+    else:
+        h, k, rho, low = np.broadcast_arrays(h, k, rho, low)
+        out = np.empty(h.shape)
+        out[low] = _drezner(h[low], k[low], rho[low])
+        h, r = h[~low], rho[~low]
+        k = k[~low] * np.sign(r)
+        hk, bs = h * k, (h - k) ** 2
+        sq = (1.0 - np.abs(r)) * (1.0 + np.abs(r))
+        a, b = np.sqrt(sq), np.sqrt(bs)
+        c, d = (4.0 - hk) / 8.0, (12.0 - hk) / 80.0
+        # below hk = -100 the second term is 0 in float64
+        part = (a * np.exp(-0.5 * (bs / sq + hk)) * (1.0 - c * (bs - sq) * (1.0 - d * bs) / 3.0
+                                                       + c * d * sq * sq)
+                - np.exp(-0.5 * np.maximum(hk, -100.0)) * _SQRT_2PI * _upper(b / a) * b
+                * (1.0 - c * bs * (1.0 - d * bs) / 3.0))
+        x, w = legendre_rule(20)
+        xs = (0.5 * a[:, None] * (x + 1.0)) ** 2
+        rs = np.sqrt(1.0 - xs)
+        hk, c, d = hk[:, None], c[:, None], d[:, None]
+        rest = np.exp(-0.5 * (bs[:, None] / xs + hk)) * (
+            np.exp(-0.5 * hk * xs / (1.0 + rs) ** 2) / rs - 1.0 - c * xs * (1.0 + 5.0 * d * xs))
+        part = (part + 0.5 * a * (rest @ w)) / (2.0 * math.pi)
+        out[~low] = np.where(r > 0.0, _upper(np.maximum(h, k)) - part,
+                             _normal_mass(h, np.maximum(h, k)) + part)
+    return np.minimum(np.maximum(out, 0.0), 1.0)
+
+
+def _box_prob(lo, hi, corr):
+    """P(lo < Z < hi), Z ~ N(0, corr) on d <= 2 axes, over the last axis of standardised bounds.
+
+    At d = 2 it is four corners of _bvn, each axis whose interval lies
+    mostly below 0 first reflected, so the corners are upper tails and a box
+    far out keeps its relative accuracy; a box of zero width is exactly 0.
+    """
+    if corr.shape[-1] < 2:
+        return _normal_mass(lo[..., 0], hi[..., 0]) if corr.size else np.ones(lo.shape[:-1])
+    flip = hi < -lo
+    lo, hi = np.where(flip, -hi, lo), np.where(flip, -lo, hi)
+    rho = np.where(flip[..., 0] == flip[..., 1], corr[..., 0, 1], -corr[..., 0, 1])
+    p = _bvn(np.stack([lo[..., 0], hi[..., 0]])[:, None], np.stack([lo[..., 1], hi[..., 1]]), rho)
+    return (p[0, 0] - p[1, 0]) - (p[0, 1] - p[1, 1])
+
+
+def _given(lo, hi, corr, axes):
+    """The mass of the other axes of Z ~ N(0, corr) given Z_j = z, as a function of z, j in axes.
+
+    lo and hi are rows (m, d) of standardised bounds, d <= 3, and z is
+    (m, k, len(axes)). Given Z_j = z the others are normal with means
+    corr_oj z and covariance corr_oo - corr_oj corr_jo: standardised, a
+    _box_prob.
+    """
+    d = corr.shape[0]
+    others = np.array([[o for o in range(d) if o != j] for j in axes])
+    slope = corr[np.array(axes)[:, None], others]
+    sd = np.sqrt((1.0 - slope) * (1.0 + slope))
+    lo, hi = lo[:, None, others], hi[:, None, others]
+    cond = (corr[others[:, :, None], others[:, None]] - slope[:, :, None] * slope[:, None]
+            ) / (sd[:, :, None] * sd[:, None])
+
+    def mass(z):
+        shift = slope * z[..., None]
+        return _box_prob(_standard(lo, shift, sd), _standard(hi, shift, sd), cond)
+
+    return mass
+
+
+def _standardise(kernel, box, x, t):
+    """The faces of the box in sds of Y ~ N(x + t b, 2 t A), rows (2, n) per kernel time.
+
+    Returns them (_standard), the sds and the correlation matrix of Y, which
+    no time changes.
+    """
+    times = np.reshape(t, (-1, 1))
+    diag = kernel.spec.diffusion.entries.diagonal()
+    sd, root = np.sqrt(2.0 * times * diag), np.sqrt(diag)
+    mean = x + times * kernel.spec.drift
+    faces = _standard(np.array([box.lo, box.hi]), mean[:, None], sd[:, None])
+    return faces, sd, kernel.spec.diffusion.entries / (root[:, None] * root)
+
+
+def _box_closed(kernel, box, x, t, want_gradient):
+    """Box data in closed form, at one kernel time t or an array: u at n = 2, grad u at n = 2, 3.
+
+    u = e^{ct} amp P(lo <= Y <= hi), Y ~ N(x + t b, 2 t A) (_box_prob). By
+    the divergence theorem du/dx_j = e^{ct} amp (N_j(lo_j) M_j(lo_j) -
+    N_j(hi_j) M_j(hi_j)): N_j is the density of Y_j at the face and M_j the
+    box probability of the other axes given Y_j there (_given). The
+    correlation of Y is the same at every time, so all times take one pass.
+    """
+    faces, sd, corr = _standardise(kernel, box, x, t)
+    if want_gradient:
+        part = np.exp(-0.5 * faces * faces) / (_SQRT_2PI * sd[:, None])
+        part = part * _given(faces[:, 0], faces[:, 1], corr, range(kernel.n))(faces)
+        part = part[:, 0] - part[:, 1]
+    else:
+        part = _box_prob(faces[:, 0], faces[:, 1], corr)
+    c = kernel.spec.reaction
+    if np.ndim(t):
+        front = box.amp * np.exp(c * t)
+        return (front[:, None] if want_gradient else front) * part, np.zeros(np.size(t))
+    out = box.amp * (math.exp(c * t) * part[0])
+    return (out if want_gradient else float(out)), 0.0
+
+
+def _graded_edges(start, stop, centres, widths):
+    """Panel edges on [start, stop], at most 2 apart and 2 w_i apart within R w_i of c_i.
+
+    R is TRUNCATION_RADIUS: the union of a coarse grid and a fine grid about
+    each centre.
+    """
+    count = math.ceil((stop - start) / 2.0)
+    coarse = np.append(start + np.arange(count) * ((stop - start) / count), stop)
+    if not centres.size:
+        return coarse
+    steps = np.arange(-TRUNCATION_RADIUS, TRUNCATION_RADIUS + 1.0, 2.0)
+    fine = centres[:, None] + widths[:, None] * steps
+    return np.unique(np.clip(np.concatenate((coarse, fine.ravel())), start, stop))
+
+
+def _box_mass(lo, hi, corr):
+    """P(lo <= Z <= hi), Z ~ N(0, corr) on three axes, as mass(rule) of the rule (order, split).
+
+    Z_0 takes composite Gauss-Legendre over [lo_0, hi_0] within
+    +-TRUNCATION_RADIUS against the bivariate normal of the others given it
+    (_given; Genz's separation of variables, J. Comput. Graph. Stat. 1,
+    1992). Given Z_0 = z they have mean z s, s = corr_{1:, 0}, and
+    covariance C = corr_{1:, 1:} - s s^T, and their box probability turns
+    where the level of z s along a normal n passes that of a corner, over
+    the width sqrt(n^T C n) / |n . s|: for the normals of the faces, and
+    for C's thin axis, along which a strongly correlated law sweeps over a
+    corner. The panels grade toward every turn narrower than 1
+    (_graded_edges), the rule cuts each into split, and a rule and the next
+    of _BOX_RULES share one pass.
+    """
+    start, stop = max(lo[0], -TRUNCATION_RADIUS), min(hi[0], TRUNCATION_RADIUS)
+    if stop <= start:
+        return lambda rule: 0.0
+    slope = corr[1:, 0]
+    cond = corr[1:, 1:] - np.outer(slope, slope)
+    angle = 0.5 * math.atan2(2.0 * cond[0, 1], cond[0, 0] - cond[1, 1])  # C's long axis
+    normals = np.array([[1.0, 0.0], [0.0, 1.0], [-math.sin(angle), math.cos(angle)]])
+    corners = np.array([[lo[1], lo[2]], [lo[1], hi[2]], [hi[1], lo[2]], [hi[1], hi[2]]])
+    speed = normals @ slope
+    thick = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", normals, cond, normals), 0.0))
+    sharp = np.abs(speed) > thick
+    edges = _graded_edges(start, stop, ((corners @ normals.T)[:, sharp] / speed[sharp]).ravel(),
+                          np.tile(thick[sharp] / np.abs(speed[sharp]), 4))
+    inner = _given(lo[None], hi[None], corr, [0])
+    done = {}
+
+    def mass(rule):
+        if rule not in done:
+            rules = _BOX_RULES[_BOX_RULES.index(rule):][:2]
+            parts = [panel_nodes(np.append((edges[:-1, None] + np.diff(edges)[:, None]
+                                            * (np.arange(split) / split)).ravel(), stop), order)
+                     for order, split in rules]
+            z = np.concatenate([z for z, _ in parts])
+            density = np.exp(-0.5 * z * z) * inner(z[None, :, None])[0, :, 0]
+            for key, (_, w), end in zip(rules, parts, np.cumsum([w.size for _, w in parts])):
+                done[key] = float(density[end - w.size:end] @ w) / _SQRT_2PI
+        return done[rule]
+
+    return mass
+
+
+def _box_route(kernel, box, x, t):
+    """(rule, keys) of n = 3 box u at one kernel time: e^{ct} amp P(lo <= Y <= hi).
+
+    An axis whose window, TRUNCATION_RADIUS sds about the mean of Y, lies
+    inside the box integrates out (a Gaussian's marginal is Gaussian),
+    leaving the closed form _box_prob of the others under _CLOSED_FORM; a
+    box that clips all three axes climbs _BOX_RULES of _box_mass.
+    """
+    faces, _, corr = _standardise(kernel, box, x, t)
+    lo, hi = faces[0]
+    front = box.amp * math.exp(kernel.spec.reaction * t)
+    cut = (lo > -TRUNCATION_RADIUS) | (hi < TRUNCATION_RADIUS)
+    if cut.all():
+        mass = _box_mass(lo, hi, corr)
+        return (lambda key: (front * mass(key), 0.0)), _BOX_RULES
+    kept = _box_prob(lo[None, cut], hi[None, cut], corr[np.ix_(cut, cut)])[0]
+    return _closed((front * float(kept), 0.0))
 
 
 def _grid_1d(kernel, grid, x, t, want_gradient):
@@ -355,9 +561,8 @@ def _grid_1d(kernel, grid, x, t, want_gradient):
     derivative of the cell sum in m, which keeps the jumps at the grid's
     two ends: [level (phi(z_a) - phi(z_b)) + beta_k sd (Phi(z_b) - Phi(z_a)
     + z_a phi(z_a) - z_b phi(z_b))] / sd. Only the cells that meet some
-    time's window m +- TRUNCATION_RADIUS sd count, as in _clip_to_window;
-    z is clipped to +-40, where phi and the tail masses are 0 in float64,
-    so no z overflows.
+    time's window m +- TRUNCATION_RADIUS sd count, as in _grid_pass; z is
+    standardised by _standard, so no z overflows.
     """
     times = np.atleast_1d(t)[:, None]
     mean = x[0] + times * kernel.spec.drift[0]
@@ -370,7 +575,7 @@ def _grid_1d(kernel, grid, x, t, want_gradient):
     ys, values = ys[first:last + 1], values[first:last + 1]
     beta = np.diff(values) / h
     level = values[:-1] + beta * (mean - ys[:-1])
-    z = np.clip((ys - mean) / sd, -40.0, 40.0)
+    z = _standard(ys, mean, sd)
     za, zb = z[:, :-1], z[:, 1:]
     mass = _normal_mass(za, zb)
     density = np.exp(-0.5 * z * z) / _SQRT_2PI
@@ -385,141 +590,22 @@ def _grid_1d(kernel, grid, x, t, want_gradient):
     return (out if want_gradient else float(out[0])), 0.0
 
 
-def _box_mass(lo, hi, cov):
-    """P(lo <= Y <= hi) for Y ~ N(mean, cov) on d <= 3 axes, as mass(means, rule) over rows of means.
-
-    The last axis integrates in closed form against its law given the
-    others (Genz, J. Comput. Graph. Stat. 1, 1992): with cov = L L^T and
-    y = mean + L z, it is normal with mean mean_d + L_{d,<d} z_{<d} and
-    standard deviation L_dd. The other axes take _tensor_rule(rule) over
-    [lo, hi] clipped to mean +- TRUNCATION_RADIUS sd, with panels at most
-    two widths of the integrand wide on each axis j: the sd of y_j given
-    the other quadrature axes, or the width L_dd / |d mean_d / d y_j| of the
-    closed-form axis' transition if that is narrower (strong correlation).
-    d <= 1 needs no rule. What does not depend on the means or the rule is
-    computed once, here.
-    """
-    d = cov.shape[0]
-    if d == 0:
-        return lambda means, rule: np.ones(len(means))
-    if d == 1:
-        sd = math.sqrt(cov[0, 0])
-        return lambda means, rule: _normal_mass((lo[0] - means[:, 0]) / sd, (hi[0] - means[:, 0]) / sd)
-    chol = np.linalg.cholesky(cov)
-    cond_sd = chol[-1, -1]
-    whiten = np.linalg.inv(chol[:-1, :-1]).T  # y_<d - mean_<d -> z_<d
-    slope = whiten @ chol[-1, :-1]
-    width = 1.0 / np.maximum(np.linalg.norm(whiten, axis=1), np.abs(slope) / cond_sd)
-    norm = _SQRT_2PI ** (d - 1) * float(np.prod(chol.diagonal()[:-1]))
-    reach = TRUNCATION_RADIUS * np.sqrt(cov.diagonal()[:-1])
-
-    def mass(means, rule):
-        # one rule for all rows, over the union of their windows
-        start = np.maximum(lo[:-1], means[:, :-1].min(0) - reach)
-        stop = np.minimum(hi[:-1], means[:, :-1].max(0) + reach)
-        if (stop <= start).any():
-            return np.zeros(len(means))
-        nodes, weights = _tensor_rule(np.array([start, stop]).T, width, rule)
-        z = (nodes - means[:, None, :-1]) @ whiten
-        cond_mean = means[:, -1:] + z @ chol[-1, :-1]
-        inner = _normal_mass((lo[-1] - cond_mean) / cond_sd, (hi[-1] - cond_mean) / cond_sd)
-        return (np.exp(-0.5 * np.einsum("fij,fij->fi", z, z)) * inner) @ weights / norm
-
-    return mass
-
-
-def _box_faces(lo, hi, mean, cov):
-    """The gradient of P(lo <= Y <= hi), Y ~ N(mean, cov), in mean, as a function of the rule.
-
-    By the divergence theorem component j is N_j(lo_j) M_j(lo_j) -
-    N_j(hi_j) M_j(hi_j): N_j is the density of Y_j and M_j(v) the box mass
-    of the other axes given Y_j = v (_box_mass, one axis fewer). Faces
-    beyond mean_j +- TRUNCATION_RADIUS sd_j add nothing. With d <= 2 axes
-    every M_j is closed form, and the gradient is computed here, once.
-    """
-    d = mean.size
-    sd = np.sqrt(cov.diagonal())
-    bounds = np.array([lo, hi])  # row 0 the lo faces, row 1 the hi faces
-    real = np.abs(bounds - mean) < TRUNCATION_RADIUS * sd
-    faces = np.where(real, bounds, mean)  # a face that adds nothing stands in at the mean
-    weights = np.where(real, _normal_density(faces, mean, sd), 0.0) * [[1.0], [-1.0]]
-    if d <= 2:
-        mass = 1.0
-        if d == 2:
-            # the other axis given Y_j = v: mean mean_o + cov_oj (v - mean_j) / cov_jj,
-            # variance cov_oo - cov_oj^2 / cov_jj
-            other = mean[::-1] + cov[0, 1] * (faces - mean) / cov.diagonal()
-            cond_sd = np.sqrt(cov.diagonal()[::-1] - cov[0, 1] ** 2 / cov.diagonal())
-            mass = _normal_mass((lo[::-1] - other) / cond_sd, (hi[::-1] - other) / cond_sd)
-        grad = (weights * mass).sum(0)
-        return lambda rule: grad
-    parts = []
-    for j in range(d):
-        rest, keep = np.arange(d) != j, real[:, j]
-        slope = cov[j] / cov[j, j]
-        cond_means = (mean + np.outer(faces[keep, j] - mean[j], slope))[:, rest]
-        cond_cov = (cov - np.outer(slope, cov[j]))[rest][:, rest]
-        parts.append((j, weights[keep, j], cond_means, _box_mass(lo[rest], hi[rest], cond_cov)))
-
-    def gradient(rule):
-        out = np.zeros(d)
-        for j, face_weights, cond_means, mass in parts:
-            out[j] = face_weights @ mass(cond_means, rule)
-        return out
-
-    return gradient
-
-
-def _box_route(kernel, box, x, t, want_gradient):
-    """(rule, keys) of box data at one kernel time, n >= 2: e^{ct} amp P(lo <= Y <= hi).
-
-    Y ~ N(x + t b, 2 t A). An axis whose window lies inside the box
-    integrates out exactly (a Gaussian's marginal is Gaussian), so u is
-    _box_mass and grad u _box_faces of the axes the box clips, and the
-    gradient has no component along the others. An empty intersection
-    gives exactly 0. A probability that needs no rule (u of a box that
-    clips at most one axis, grad u of one that clips at most two) is
-    computed once and takes _CLOSED_FORM.
-    """
-    clipped = _clip_to_window(kernel, x, t, box.lo, box.hi)
-    if clipped is None:
-        return _closed(((np.zeros(kernel.n) if want_gradient else 0.0), 0.0))
-    cut = clipped[3]
-    cov = 2.0 * t * kernel.spec.diffusion.entries[cut][:, cut]
-    mean = (x + t * kernel.spec.drift)[cut]
-    lo, hi = np.asarray(box.lo)[cut], np.asarray(box.hi)[cut]
-    front = math.exp(kernel.spec.reaction * t)
-    if want_gradient:
-        faces = _box_faces(lo, hi, mean, cov)
-
-        def rule(key):
-            out = np.zeros(kernel.n)
-            out[cut] = box.amp * (front * faces(key))
-            return out, 0.0
-    else:
-        mass = _box_mass(lo, hi, cov)
-
-        def rule(key):
-            return box.amp * (front * float(mass(mean[None], key)[0])), 0.0
-
-    if cut.size <= 1 + want_gradient:
-        return _closed(rule(None))
-    return rule, _BOX_RULES
-
-
 def _grid_pass(kernel, grid, x, t, order, want_gradient):
     """The tensor rule of one order on the grid's multilinear interpolant.
 
-    It runs over the grid's support clipped to the kernel's window, with
-    panel edges at the grid lines, so every panel lies in one cell.
+    It runs over the grid's support clipped to the kernel's window x + t b
+    +- TRUNCATION_RADIUS sqrt(2 t A_jj), with panel edges at the grid
+    lines, so every panel lies in one cell.
     """
     lines = [o + h * np.arange(m) for o, h, m in zip(grid.origin, grid.spacing, grid.values.shape)]
-    clipped = _clip_to_window(kernel, x, t, [g[0] for g in lines], [g[-1] for g in lines])
-    if clipped is None:
+    mean = x + t * kernel.spec.drift
+    sigma = np.sqrt(2.0 * t * kernel.spec.diffusion.entries.diagonal())
+    lo = np.maximum([g[0] for g in lines], mean - TRUNCATION_RADIUS * sigma)
+    hi = np.minimum([g[-1] for g in lines], mean + TRUNCATION_RADIUS * sigma)
+    if (hi <= lo).any():
         return (np.zeros(kernel.n) if want_gradient else 0.0), 0.0
-    lo, hi, sigma, _ = clipped
     breaks = [np.concatenate([[l], g[(g > l) & (g < h)], [h]]) for l, h, g in zip(lo, hi, lines)]
-    args, weights = _tensor_rule(breaks, sigma, (order, 1))
+    args, weights = _tensor_rule(breaks, sigma, order)
     weights = weights * grid(args)
     np.subtract(x, args, out=args)
     if want_gradient:
@@ -584,7 +670,7 @@ def _hermite_keys(dim: int):
     """The kernel frame's Hermite ladder, 48 then 64 doubled up to 256, within the node budget."""
     return tuple(order for order in (48, 64, 128, 256) if order**dim <= _MAX_TENSOR_NODES)
 
-# (Gauss-Legendre order, split of every panel) of the box rule, coarse first
+# (Gauss-Legendre order, split of every panel) of the n = 3 box u rule, coarse first
 _BOX_RULES = ((8, 1), (12, 1), (12, 2))
 # Gauss-Legendre orders of the kink panels, coarse first
 _KINK_RULES = (8, 12)
@@ -607,17 +693,18 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
     keys[1:] the ladder an unmet error estimate climbs. Data with a
     Gaussian factor takes _hermite_pass in the frame of its product with
     the kernel at its one exact order, constant data its closed form, box
-    data its Gaussian box probability (_box_1d, _box_route), grid data its
-    cells (_grid_1d in closed form at n = 1), n = 1 data with kinks the
-    kink panels and everything else _hermite_pass in the kernel's own frame
-    (q = 0). A closed form (the Gaussian-factor pass, n = 1 boxes and
-    grids, a box that clips at most one axis, the gradient of one that
-    clips two) is computed here, once, under the key _CLOSED_FORM. An
-    array t (several kernel times) gives results stacked by time. A
-    forcing that varies in time comes as data with tau, its forcing times,
-    one per kernel time; it takes the kink panels or the kernel's frame.
-    The Gaussian-factor, constant, n = 1 box and grid and kink routes take
-    all times in one call, the others one time (and tau) at a time.
+    data its Gaussian box probability (_box_1d, _box_closed, _box_route),
+    grid data its cells (_grid_1d in closed form at n = 1), n = 1 data
+    with kinks the kink panels and everything else _hermite_pass in the
+    kernel's own frame (q = 0). A closed form (the Gaussian-factor pass,
+    n = 1 grids, box data but n = 3 u, an n = 3 box u with an axis inside
+    the box) is computed here, once, under the key _CLOSED_FORM. An array
+    t (several kernel times) gives results stacked by time. A forcing that
+    varies in time comes as data with tau, its forcing times, one per
+    kernel time; it takes the kink panels or the kernel's frame. The
+    Gaussian-factor, constant, box (but n = 3 u), n = 1 grid and kink
+    routes take all times in one call, the others one time (and tau) at a
+    time.
     """
     factor = None if tau is not None else data.gaussian_factor()
     if factor is not None:
@@ -631,6 +718,8 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
         return _closed(_constant_pass(kernel, data.value, t, want_gradient))
     elif isinstance(data, BoxIndicator) and data.n == 1:
         return _closed(_box_1d(kernel, data, x, t, want_gradient))
+    elif isinstance(data, BoxIndicator) and (data.n == 2 or want_gradient):
+        return _closed(_box_closed(kernel, data, x, t, want_gradient))
     elif isinstance(data, GridData) and data.n == 1:
         return _closed(_grid_1d(kernel, data, x, t, want_gradient))
     elif kernel.n == 1 and any(kinks := _kinks(data, t, tau)):
@@ -646,7 +735,7 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
         keys = next((keys for _, keys in routes if keys is not _CLOSED_FORM), _CLOSED_FORM)
         return stacked, keys
     elif isinstance(data, BoxIndicator):
-        return _box_route(kernel, data, x, t, want_gradient)
+        return _box_route(kernel, data, x, t)
     elif isinstance(data, GridData):
         return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
     else:

@@ -551,8 +551,9 @@ def pde_residual_order(kernel, rng, points: int = 20,
                        steps=(1e-2, 5e-3, 2.5e-3)) -> float:
     """Observed convergence order of the finite-difference PDE residual.
 
-    Each stencil offset takes one kernel call over all sample points, with
-    one time per row.
+    Every stencil offset of every step is one block of rows of a single
+    kernel call: a first pass over the stencils records the offsets, and a
+    second reads the values back in the same order.
     """
     n = kernel.n
     a = kernel.spec.diffusion.entries
@@ -563,12 +564,8 @@ def pde_residual_order(kernel, rng, points: int = 20,
         xi = rng.uniform(-1.5, 1.5, size=n)
         x[i] = -t[i] * b + 2 * math.sqrt(t[i]) * (kernel.sqrt @ xi)
 
-    def residual(h):
+    def residual(h, g):
         e = h * np.eye(n)
-
-        def g(dx=0.0, dt=0.0):
-            return kernel.value(x + dx, t + dt)
-
         val = g()
         acc = (g(dt=h) - g(dt=-h)) / (2 * h) - kernel.spec.reaction * val
         for j in range(n):
@@ -582,7 +579,17 @@ def pde_residual_order(kernel, rng, points: int = 20,
                 acc -= 2 * a[j, m] * mixed
         return np.mean(np.abs(acc))
 
-    sums = [residual(h) for h in steps]
+    rows = []
+
+    def record(dx=0.0, dt=0.0):
+        rows.append((x + dx, t + dt))
+        return np.zeros(points)
+
+    for h in steps:
+        residual(h, record)
+    values = kernel.value(np.concatenate([y for y, _ in rows]), np.concatenate([s for _, s in rows]))
+    blocks = iter(values.reshape(len(rows), points))
+    sums = [residual(h, lambda dx=0.0, dt=0.0: next(blocks)) for h in steps]
     return math.log(sums[0] / sums[-1]) / math.log(steps[0] / steps[-1])
 
 

@@ -3,8 +3,9 @@
 Polygauss data against Isserlis moments of the product Gaussian; box data
 against erf of the (conditional) normal law, with gradients from the face
 integrals of the kernel, and at n = 3 against a full tensor rule of the
-density or products of erf, neither of which conditions an axis on the
-others; Gaussian data far into the wide-kernel regime against its closed
+density, products of erf, or nested quad over the last axes first (the
+solver integrates the first axis against the bivariate normal of the
+others); Gaussian data far into the wide-kernel regime against its closed
 form; grid data against erf and exp per linear cell of its interpolant;
 and constant data against v e^{ct}. Every comparison uses the solver's own
 error contract: target_rel_err times max(|reference|, 1e-3 of the bound
@@ -21,6 +22,7 @@ from scipy import integrate
 from scipy.special import erf
 
 from parabound import solver as sv
+from parabound.errors import ParaboundError
 from parabound.sources import (
     BoxIndicator,
     ConstantData,
@@ -168,6 +170,71 @@ def box_tensor_reference(kernel, box, x, t, per_sd=2, order=12):
     dens /= math.sqrt((2.0 * math.pi) ** len(m) * np.linalg.det(cov))
     front = math.exp(kernel.spec.reaction * t) * box.amp
     return front * float(dens.sum()), front * (dens @ pd)
+
+
+def box3_nested_reference(kernel, box, x, t):
+    """u and grad u for n = 3 box data and any SPD A, by nested scipy.integrate.quad.
+
+    u integrates y_3 outside and y_2 given y_3 inside, each by quad over the
+    box clipped to 12 conditional sds of its conditional mean, and y_1
+    given both in closed form (erf); face j of grad u integrates the larger
+    of the other two axes by quad and the smaller by erf, given y_j on the
+    face. This is the reverse of the solver's axis order.
+    """
+    cov = 2.0 * t * kernel.spec.diffusion.entries
+    m = np.asarray(x) + t * kernel.spec.drift
+    lo, hi = np.asarray(box.lo), np.asarray(box.hi)
+    front = math.exp(kernel.spec.reaction * t) * box.amp
+    opts = dict(epsabs=1e-15, epsrel=1e-12, limit=400)
+
+    def law(known, j):
+        # y_j given y_known = v: mean m_j + w . (v - m_known), sd
+        w = np.linalg.solve(cov[np.ix_(known, known)], cov[known, j])
+        return w, math.sqrt(cov[j, j] - cov[j, known] @ w)
+
+    def quad(f, mean, sd, j):
+        a, b = max(lo[j], mean - 12.0 * sd), min(hi[j], mean + 12.0 * sd)
+        if a >= b:
+            return 0.0
+        return integrate.quad(lambda v: normal_pdf(v, mean, sd) * f(v), a, b,
+                              points=np.linspace(a, b, 9)[1:-1], **opts)[0]
+
+    def mass(j, v, outer, inner):
+        # P(the axes outer and inner in the box | y_j = v)
+        w_o, sd_o = law([j], outer)
+        w_i, sd_i = law([j, outer], inner)
+
+        def given(y):
+            mean = m[inner] + w_i @ (np.array([v, y]) - m[[j, outer]])
+            return normal_cdf_between(lo[inner], hi[inner], mean, sd_i)
+
+        return quad(given, m[outer] + w_o[0] * (v - m[j]), sd_o, outer)
+
+    sd = np.sqrt(np.diag(cov))
+    u = quad(lambda v: mass(2, v, 1, 0), m[2], sd[2], 2)
+    grad = np.zeros(3)
+    for j in range(3):
+        outer, inner = [o for o in (2, 1, 0) if o != j]
+        for face, sign in ((lo[j], 1.0), (hi[j], -1.0)):
+            grad[j] += sign * normal_pdf(face, m[j], sd[j]) * mass(j, face, outer, inner)
+    return front * u, front * grad
+
+
+def correlated_kernel(rng, n, rho_max):
+    """A kernel whose A has off-diagonal correlations up to rho_max, often near it.
+
+    A = B B^T for rows of B scattered about one direction by 10^-3 to 1 of
+    its length, then rescaled per axis; the drift has N(0, 1) entries and
+    the reaction lies in (-0.5, 0.5). A draw beyond rho_max is drawn again.
+    """
+    while True:
+        b = rng.standard_normal(n) + 10.0 ** rng.uniform(-3.0, 0.0) * rng.standard_normal((n, n))
+        a = b @ b.T
+        corr = a / np.sqrt(np.outer(np.diag(a), np.diag(a)))
+        if np.abs(corr[np.triu_indices(n, 1)]).max() <= rho_max:
+            scale = np.exp(rng.uniform(-1.0, 1.0, n))
+            return make_kernel(a * np.outer(scale, scale), rng.normal(0.0, 1.0, n),
+                               rng.uniform(-0.5, 0.5))
 
 
 def solve_both(kernel, data, x, t):
@@ -318,6 +385,63 @@ def test_box_3d_inside_the_window_up_to_its_edge():
     u_ref, grad_ref = box_diagonal_reference(k, box, np.zeros(3), t)
     assert abs(u - 1.0) <= TARGET
     assert_within_contract(u, grad, u_ref, grad_ref, 1.0, t)
+
+
+def test_box_3d_correlated_matches_nested_quad():
+    # the strongly correlated box of ROADMAP item 10, which a 2-D tensor rule
+    # could not resolve within its node budget; correlations 0.9972 to 0.9986
+    a = [[0.7011, 0.9235, 1.2437], [0.9235, 1.2199, 1.6429], [1.2437, 1.6429, 2.2187]]
+    k = make_kernel(a, [-1.185, 1.173, -0.96], 0.0)
+    box = BoxIndicator(lo=(-0.831, -0.267, -0.858), hi=(-0.046, 0.791, 0.185))
+    x, t = np.array([-0.164, 0.318, -0.839]), 0.0014
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u, grad = solve_both(k, box, x, t)
+    u_ref, grad_ref = box3_nested_reference(k, box, x, t)
+    assert_within_contract(u, grad, u_ref, grad_ref, 1.0, t)
+
+
+def test_box_3d_law_thin_along_no_axis():
+    # pairwise correlations of at most 0.77, but A is nearly singular: given y_1
+    # the other two axes are correlated 0.999995, so their law is thin along a
+    # direction that is no axis, and the box probability given y_1 turns where
+    # that thin axis sweeps over a corner; panels graded toward the faces alone
+    # leave estimates of 5e-5 and 9e-5 of the scale
+    v = np.array([[1.0, 0.0, 0.0], [math.cos(0.7), math.sin(0.7), 0.0],
+                  [math.cos(1.4), math.sin(1.4), 0.003]])
+    k = make_kernel(v @ v.T, [0.2, -0.1, 0.3], -0.2)
+    box = BoxIndicator(lo=(-0.5, -0.3, -0.6), hi=(0.4, 0.5, 0.2))
+    for x, t in [([0.1, 0.0, -0.2], 0.3), ([-0.3, 0.2, 0.1], 1.0)]:
+        x = np.asarray(x) - t * k.spec.drift
+        u, grad = solve_both(k, box, x, t)
+        u_ref, grad_ref = box3_nested_reference(k, box, x, t)
+        assert_within_contract(u, grad, u_ref, grad_ref, math.exp(-0.2 * t), t)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_box_seeded_search_at_strong_correlation(n):
+    # correlations up to 0.999, boxes 0.05 to 1.5 wide, t from 1e-3 to 3 and
+    # points about the box: no typed failure, every u within the maximum
+    # principle, and at n = 2 every answer within the contract of box2_reference
+    rng = np.random.default_rng(2024 + n)
+    for _ in range(40):
+        k = correlated_kernel(rng, n, 0.999)
+        lo = rng.uniform(-1.0, 0.5, n)
+        hi = lo + rng.uniform(0.05, 1.5, n)
+        box = BoxIndicator(lo=tuple(lo), hi=tuple(hi), amp=float(rng.uniform(0.5, 2.0)))
+        t = float(10.0 ** rng.uniform(-3.0, 0.5))
+        sd = np.sqrt(2.0 * t * np.diag(k.spec.diffusion.entries))
+        x = rng.uniform(lo, hi) - t * k.spec.drift + 0.5 * sd * rng.standard_normal(n)
+        bound = math.exp(k.spec.reaction * t) * box.amp
+        try:
+            u, grad = solve_both(k, box, x, t)
+        except ParaboundError as exc:
+            pytest.fail(f"{type(exc).__name__} at A = {k.spec.diffusion.entries.tolist()}, "
+                        f"box {box}, x = {x.tolist()}, t = {t}: {exc}")
+        assert -TARGET * bound <= u <= (1.0 + TARGET) * bound and np.all(np.isfinite(grad))
+        if n == 2:
+            u_ref, grad_ref = box2_reference(k, box, x, t)
+            assert_within_contract(u, grad, u_ref, grad_ref, bound, t)
 
 
 def test_box_1d_next_to_an_edge_at_small_time():

@@ -425,6 +425,29 @@ class TestSolveNonhomogeneous:
         assert used == [(15, 12), (15, 8)] * 4
 
 
+    def test_box_closed_forms_take_every_kernel_time_at_once(self):
+        # n = 2 box data (u and grad u) and the n = 3 box gradient are closed forms
+        # over an array of kernel times, as a sigma panel hands them: one call, and
+        # each time as its own call gives it; n = 3 u climbs its 1-D ladder per time
+        k2 = make_kernel([[1.0, 0.6], [0.6, 2.0]], [0.5, -1.0], -0.25)
+        k3 = make_kernel([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]],
+                         [0.5, -1.0, 0.3], -0.25)
+        times = np.geomspace(1e-4, 2.0, 15)
+        for k, gradients in ((k2, (False, True)), (k3, (True,))):
+            box = BoxIndicator(lo=(-0.5,) * k.n, hi=(0.5,) * k.n, amp=1.3)
+            x = np.full(k.n, 0.2)
+            for want_gradient in gradients:
+                rule, keys = sv._route(k, box, x, times, want_gradient, 1.3)
+                assert keys == sv._CLOSED_FORM
+                values, dropped = rule(keys[0])
+                assert np.shape(values) == ((15, k.n) if want_gradient else (15,))
+                assert np.array_equal(dropped, np.zeros(15))
+                for s, value in zip(times.tolist(), values):
+                    one, _ = sv._route(k, box, x, s, want_gradient, 1.3)[0](keys[0])
+                    assert np.allclose(value, one, rtol=1e-15, atol=0.0)
+        assert sv._route(k3, box, x, times, False, 1.3)[1] == sv._BOX_RULES
+
+
 def _kink_reference(k, data, x, s, order, want_gradient, kinks, tau=None):
     """One kernel time's kink panels graded to 2^-44, node by node: the route's deep reference."""
     reach = sv.TRUNCATION_RADIUS * 2.0 * math.sqrt(float(k.dec.eigenvalues[-1]) * s)
