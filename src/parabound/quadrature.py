@@ -177,12 +177,14 @@ def panel_edges_batch(lo, hi, kinks, base_panels: int = 32, levels: int = KINK_L
     return edges[keep], keep.sum(1)
 
 
+def legendre_panels(lefts: np.ndarray, rights: np.ndarray, order: int):
+    """Gauss-Legendre nodes and weights, each (..., order), on panels [lefts, rights] of shape (..., 1)."""
+    x, w = legendre_rule(order)
+    half = 0.5 * (rights - lefts)
+    return lefts + half * (x + 1.0), half * w
+
+
 def panel_nodes(edges: np.ndarray, order: int = 12):
     """All Gauss-Legendre nodes/weights for the panels between edges."""
-    x, w = legendre_rule(order)
-    a = edges[:-1][:, None]
-    b = edges[1:][:, None]
-    half = 0.5 * (b - a)
-    nodes = (a + half * (x[None, :] + 1.0)).reshape(-1)
-    weights = (half * w[None, :]).reshape(-1)
-    return nodes, weights
+    nodes, weights = legendre_panels(edges[:-1][:, None], edges[1:][:, None], order)
+    return nodes.reshape(-1), weights.reshape(-1)

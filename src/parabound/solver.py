@@ -3,7 +3,9 @@
 Homogeneous problem: u(x, t) is the kernel convolved with the initial
 data, the integral of G(x - y, t) phi(y) over y. One dispatcher (_route)
 picks the rule for that integral from the data, for the homogeneous
-solver and for every sigma node of the Duhamel solver alike:
+solver's one kernel time and a Duhamel sigma panel's 15 alike. Every rule
+takes all times of a call in one pass, but the n >= 2 grids and the
+kernel frame, which take one time at a time:
 
 - Data with a Gaussian factor (gaussian_factor(): Gaussian and polygauss
   presets) takes the one tensor Gauss-Hermite pass (_hermite_pass) in the
@@ -18,11 +20,9 @@ solver and for every sigma node of the Duhamel solver alike:
   it is a difference of erfc, at n = 2 four bivariate normal orthants
   (_bvn, Genz's algorithm), and grad u sums the box faces: the density of
   Y_j there times the box probability of the other axes given Y_j, a
-  bivariate normal at n = 3. These closed forms take all kernel times of
-  a call in one pass. n = 3 u integrates Y_1 by graded composite
+  bivariate normal at n = 3. n = 3 u integrates Y_1 by graded composite
   Gauss-Legendre against the bivariate normal of the others given it
-  (_box_mass), orders 8 and 12 compared, then halved panels, unless an
-  axis whose window lies inside the box integrates out.
+  (_box_mass), orders 8 and 12 compared, then halved panels.
 - Grid data stands for its multilinear interpolant. At n = 1 it is in
   closed form: against the normal law of Y each linear cell is a
   difference of normal CDFs and densities, and grad u differentiates the
@@ -52,15 +52,14 @@ substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
 behavior of the gradient integrand. The integral in sigma is global
 adaptive G7K15 Gauss-Kronrod (_duhamel, after QUADPACK's QAG): from four
 panels graded toward sigma = 0, the panel with the largest |K15 - G7| is
-halved, so a feature in sigma (the kernel window reaching a box face,
-or shrinking to a grid cell) gets panels where it lies. A panel hands
-its 15 kernel times to the dispatcher at once, and a forcing that varies
-in time its 15 forcing times with them. The kink panels then take each
-node's kinks at its own time but evaluate the forcing and the kernel
-once for all nodes; the kernel-frame rule takes one node at a time.
-Every sigma node's spatial rule runs at two consecutive keys of its
-ladder, and their difference joins the estimate; the keys climb where
-that part dominates (a closed form's part is 0).
+halved, so a feature in sigma (the kernel window reaching a box face, or
+shrinking to a grid cell) gets panels where it lies. A panel hands its
+15 kernel times to the dispatcher at once, and a forcing that varies in
+time its 15 forcing times with them (the kink panels grade toward each
+node's kinks at its own time). Every sigma node's spatial rule runs at
+two consecutive keys of its ladder, and their difference joins the
+estimate; the keys climb where that part dominates (a closed form's part
+is 0).
 
 The homogeneous solver climbs its ladder in _eval, each rung compared
 with the one below it; either solver raises QuadratureFailure when its
@@ -91,6 +90,7 @@ from .quadrature import (
     GK15_WEIGHTS,
     TRUNCATION_RADIUS,
     hermite_tensor,
+    legendre_panels,
     legendre_rule,
     panel_edges_batch,
     panel_nodes,
@@ -172,28 +172,26 @@ def _check_float_range(kernel, t, want_gradient):
 
 
 def _product_frame(kernel, x, t, center, precision):
-    """The product of the kernel at time(s) t and the data's Gaussian factor exp(-q |y - c|^2).
+    """The product of the kernel at kernel times t and the data's Gaussian factor exp(-q |y - c|^2).
 
     With q = precision, y - c in A's eigenbasis, z = Q^T (x + t b - c) and
     shrink = 1 / (1 + 4 q t lam), the product is e^{ct} C times the normal
     density with mean shrink z and variances 2 t lam shrink, where
     log C = 1/2 sum log shrink - q (mean . z). A's eigenvectors diagonalise
     both factors, so no new factorisation is needed. At q = 0 it is the
-    kernel alone: shrink 1 and C 1. t may be an array of kernel times (the
-    sigma nodes of a Duhamel pass). Returns c and q, and per time the mean
-    and node scale of y - c, log C, e^{ct} pi^{-n/2} and the node scale of
-    the gradient factor.
+    kernel alone: shrink 1 and C 1. t is one kernel time or a 1-D array.
+    Returns c and q, and per time the mean and node scale of y - c, log C,
+    e^{ct} pi^{-n/2} and the node scale of the gradient factor.
     """
     lam = kernel.dec.eigenvalues
-    t = np.asarray(t, dtype=float)
-    times = t.reshape(-1, 1, 1)
+    times = np.asarray(t, dtype=float).reshape(-1, 1, 1)
     z = (x - center + times * kernel.spec.drift) @ kernel.dec.eigenvectors
     spread_t = times * lam
     shrink = 1.0 / (1.0 + (4.0 * precision) * spread_t)
     mean = shrink * z
     log_mass = 0.5 * np.log(shrink).sum(-1) - precision * (mean * z).sum(-1)
     front = np.exp(kernel.spec.reaction * times[:, 0]) * math.pi ** (-kernel.n / 2.0)
-    return (center, precision, t.ndim, mean, np.sqrt(4.0 * spread_t * shrink), log_mass, front,
+    return (center, precision, mean, np.sqrt(4.0 * spread_t * shrink), log_mass, front,
             np.sqrt(shrink / spread_t))
 
 
@@ -203,9 +201,9 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
     The rule integrates what is left of the data, phi times
     exp(q |y - c|^2): for Gaussian and polygauss data a polynomial of total
     degree d, which order m integrates exactly, with the gradient's extra
-    degree, once 2m - 1 >= d + 1; at q = 0 phi itself. Over several times the
-    data is evaluated once for all of them and the results are stacked by
-    time. Returns the value (or gradient) and a bound on what the rule
+    degree, once 2m - 1 >= d + 1; at q = 0 phi itself. The data is
+    evaluated once for all the frame's times and the results are stacked by
+    time. Returns the values (or gradients) and bounds on what the rule
     leaves out. Only a leftover with a known finite sup (q = 0, sup|phi|
     finite) takes the pruned rule (pruned_hermite_tensor), with the bound
     front sup mass, or front sup moment ||A^{-1/2}||_2 / sqrt(t) for the
@@ -213,7 +211,7 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
     rule's gradient (q > 0) bounds the roundoff of its +-xi pairs. With
     tau the data is a forcing, taken at that one time.
     """
-    center, precision, ndim, mean, scale, log_mass, front, grad_scale = frame
+    center, precision, mean, scale, log_mass, front, grad_scale = frame
     if precision == 0.0 and math.isfinite(sup):
         xi, w, mass, moment = pruned_hermite_tensor(order, kernel.n)
     else:
@@ -246,18 +244,14 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
         # no rung checks the exact rule: bound the pairs' roundoff, eps |v| times grad_scale |xi|
         rounding = grad_scale[:, 0] * (np.abs(vals) @ np.abs(xi))
         dropped = front[:, 0] * (np.finfo(float).eps * np.sqrt((rounding * rounding).sum(-1)))
-    if ndim:
-        return out, dropped
-    return (out[0] if want_gradient else float(out[0])), float(dropped[0])
+    return out, dropped
 
 
 def _constant_pass(kernel, value, t, want_gradient):
-    """Constant data v: u = v e^{ct} and grad u = 0, exactly; t may be an array of kernel times."""
-    c = kernel.spec.reaction
-    if np.ndim(t):
-        out = np.zeros((t.size, kernel.n)) if want_gradient else value * np.exp(c * t)
-        return out, np.zeros(t.size)
-    return (np.zeros(kernel.n) if want_gradient else value * math.exp(c * t)), 0.0
+    """Constant data v: u = v e^{ct} and grad u = 0, exactly, at every kernel time of t."""
+    if want_gradient:
+        return np.zeros((t.size, kernel.n)), np.zeros(t.size)
+    return value * np.exp(kernel.spec.reaction * t), np.zeros(t.size)
 
 
 def _tensor_rule(breaks, sigma, order):
@@ -317,25 +311,22 @@ def _standard(v, mean, sd):
 
 
 def _box_1d(kernel, box, x, t, want_gradient):
-    """n = 1 box data in closed form, at one kernel time t or an array of them.
+    """n = 1 box data in closed form, at every kernel time of t.
 
     u = e^{ct} amp P(lo < Y < hi) and du/dx = e^{ct} amp (N(lo) - N(hi)),
     with Y ~ N(x + t b, 2 t a) and N its density.
     """
-    mean = x[0] + t * kernel.spec.drift[0]
-    sd = np.sqrt(2.0 * t * kernel.spec.diffusion.entries[0, 0])
-    (lo,), (hi,) = box.lo, box.hi
-    if want_gradient:
-        # the density squares z, which erfc never does: only it needs the clip
-        za, zb, norm = _standard(lo, mean, sd), _standard(hi, mean, sd), _SQRT_2PI * sd
-        part = np.exp(-0.5 * za * za) / norm - np.exp(-0.5 * zb * zb) / norm
-    else:
-        part = _normal_mass((lo - mean) / sd, (hi - mean) / sd)
-    if np.ndim(t):
-        out = box.amp * np.exp(kernel.spec.reaction * t) * part
-        return (out[:, None] if want_gradient else out), np.zeros(np.size(t))
-    out = box.amp * (math.exp(kernel.spec.reaction * t) * float(part))
-    return (np.array([out]) if want_gradient else out), 0.0
+    sd = np.sqrt((2.0 * kernel.spec.diffusion.entries[0, 0]) * t)
+    # past float64, t b and z^2 reach inf without a warning: there u = grad u = 0
+    with np.errstate(over="ignore"):
+        z = (np.array([box.lo, box.hi]) - (x[0] + t * kernel.spec.drift[0])) / sd
+        if want_gradient:
+            density = np.exp(-0.5 * z * z)
+            part = (density[0] - density[1]) / (_SQRT_2PI * sd)
+        else:
+            part = _normal_mass(z[0], z[1])
+    out = box.amp * np.exp(kernel.spec.reaction * t) * part
+    return (out[:, None] if want_gradient else out), np.zeros(t.size)
 
 
 def _drezner(h, k, rho):
@@ -439,16 +430,17 @@ def _standardise(kernel, box, x, t):
     Returns them (_standard), the sds and the correlation matrix of Y, which
     no time changes.
     """
-    times = np.reshape(t, (-1, 1))
+    times = t[:, None]
     diag = kernel.spec.diffusion.entries.diagonal()
     sd, root = np.sqrt(2.0 * times * diag), np.sqrt(diag)
-    mean = x + times * kernel.spec.drift
+    with np.errstate(over="ignore"):  # past float64 the mean is +-inf, _Z_MAX sds off every face
+        mean = x + times * kernel.spec.drift
     faces = _standard(np.array([box.lo, box.hi]), mean[:, None], sd[:, None])
     return faces, sd, kernel.spec.diffusion.entries / (root[:, None] * root)
 
 
 def _box_closed(kernel, box, x, t, want_gradient):
-    """Box data in closed form, at one kernel time t or an array: u at n = 2, grad u at n = 2, 3.
+    """Box data in closed form at every kernel time of t: u at n = 2, grad u at n = 2, 3.
 
     u = e^{ct} amp P(lo <= Y <= hi), Y ~ N(x + t b, 2 t A) (_box_prob). By
     the divergence theorem du/dx_j = e^{ct} amp (N_j(lo_j) M_j(lo_j) -
@@ -463,21 +455,17 @@ def _box_closed(kernel, box, x, t, want_gradient):
         part = part[:, 0] - part[:, 1]
     else:
         part = _box_prob(faces[:, 0], faces[:, 1], corr)
-    c = kernel.spec.reaction
-    if np.ndim(t):
-        front = box.amp * np.exp(c * t)
-        return (front[:, None] if want_gradient else front) * part, np.zeros(np.size(t))
-    out = box.amp * (math.exp(c * t) * part[0])
-    return (out if want_gradient else float(out)), 0.0
+    front = box.amp * np.exp(kernel.spec.reaction * t)
+    return (front[:, None] if want_gradient else front) * part, np.zeros(t.size)
 
 
 def _graded_edges(start, stop, centres, widths):
     """Panel edges on [start, stop], at most 2 apart and 2 w_i apart within R w_i of c_i.
 
     R is TRUNCATION_RADIUS: the union of a coarse grid and a fine grid about
-    each centre.
+    each centre (at least one coarse panel, empty when start = stop).
     """
-    count = math.ceil((stop - start) / 2.0)
+    count = max(math.ceil((stop - start) / 2.0), 1)
     coarse = np.append(start + np.arange(count) * ((stop - start) / count), stop)
     if not centres.size:
         return coarse
@@ -486,73 +474,69 @@ def _graded_edges(start, stop, centres, widths):
     return np.unique(np.clip(np.concatenate((coarse, fine.ravel())), start, stop))
 
 
-def _box_mass(lo, hi, corr):
+def _box_mass(faces, corr):
     """P(lo <= Z <= hi), Z ~ N(0, corr) on three axes, as mass(rule) of the rule (order, split).
 
-    Z_0 takes composite Gauss-Legendre over [lo_0, hi_0] within
-    +-TRUNCATION_RADIUS against the bivariate normal of the others given it
-    (_given; Genz's separation of variables, J. Comput. Graph. Stat. 1,
-    1992). Given Z_0 = z they have mean z s, s = corr_{1:, 0}, and
-    covariance C = corr_{1:, 1:} - s s^T, and their box probability turns
-    where the level of z s along a normal n passes that of a corner, over
-    the width sqrt(n^T C n) / |n . s|: for the normals of the faces, and
-    for C's thin axis, along which a strongly correlated law sweeps over a
-    corner. The panels grade toward every turn narrower than 1
-    (_graded_edges), the rule cuts each into split, and a rule and the next
-    of _BOX_RULES share one pass.
+    faces holds the standardised bounds (lo, hi) of m kernel times, (m, 2,
+    3), and mass(rule) gives the m probabilities. Z_0 takes composite
+    Gauss-Legendre over [lo_0, hi_0] within +-TRUNCATION_RADIUS against
+    the bivariate normal of the others given it (_given; Genz's separation
+    of variables, J. Comput. Graph. Stat. 1, 1992). Given Z_0 = z they have
+    mean z s, s = corr_{1:, 0}, and covariance C = corr_{1:, 1:} - s s^T,
+    and their box probability turns where the level of z s along a normal
+    n passes that of a corner, over the width sqrt(n^T C n) / |n . s|: for
+    the normals of the faces, and for C's thin axis, along which a strongly
+    correlated law sweeps over a corner. Each time's panels grade toward
+    every turn narrower than 1 (_graded_edges); the rule cuts each into
+    split, takes the panels of all times in one pass and sums them by time,
+    and a rule and the next of _BOX_RULES share the pass.
     """
-    start, stop = max(lo[0], -TRUNCATION_RADIUS), min(hi[0], TRUNCATION_RADIUS)
-    if stop <= start:
-        return lambda rule: 0.0
+    lo, hi = faces[:, 0], faces[:, 1]
+    start = np.maximum(lo[:, 0], -TRUNCATION_RADIUS)
+    # a window that misses the box on Z_0 keeps the empty interval [start, start]
+    stop = np.maximum(np.minimum(hi[:, 0], TRUNCATION_RADIUS), start)
     slope = corr[1:, 0]
     cond = corr[1:, 1:] - np.outer(slope, slope)
     angle = 0.5 * math.atan2(2.0 * cond[0, 1], cond[0, 0] - cond[1, 1])  # C's long axis
     normals = np.array([[1.0, 0.0], [0.0, 1.0], [-math.sin(angle), math.cos(angle)]])
-    corners = np.array([[lo[1], lo[2]], [lo[1], hi[2]], [hi[1], lo[2]], [hi[1], hi[2]]])
     speed = normals @ slope
     thick = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", normals, cond, normals), 0.0))
     sharp = np.abs(speed) > thick
-    edges = _graded_edges(start, stop, ((corners @ normals.T)[:, sharp] / speed[sharp]).ravel(),
-                          np.tile(thick[sharp] / np.abs(speed[sharp]), 4))
-    inner = _given(lo[None], hi[None], corr, [0])
+    # the level of each corner (lo_1 or hi_1, lo_2 or hi_2) along each sharp normal
+    levels = (faces[:, :, None, 1, None] * normals[sharp, 0]
+              + faces[:, None, :, 2, None] * normals[sharp, 1])
+    widths = np.tile(thick[sharp] / np.abs(speed[sharp]), 4)
+    edges = [_graded_edges(a, b, c, widths) for a, b, c in
+             zip(start.tolist(), stop.tolist(), (levels / speed[sharp]).reshape(len(faces), -1))]
+    # the panels of every time, and the time each belongs to
+    lefts = np.concatenate([e[:-1] for e in edges])[:, None]
+    rights = np.concatenate([e[1:] for e in edges])[:, None]
+    row = np.repeat(np.arange(len(edges)), [e.size - 1 for e in edges])
+    inner = _given(lo[row], hi[row], corr, [0])
     done = {}
 
     def mass(rule):
         if rule not in done:
             rules = _BOX_RULES[_BOX_RULES.index(rule):][:2]
-            parts = [panel_nodes(np.append((edges[:-1, None] + np.diff(edges)[:, None]
-                                            * (np.arange(split) / split)).ravel(), stop), order)
-                     for order, split in rules]
-            z = np.concatenate([z for z, _ in parts])
-            density = np.exp(-0.5 * z * z) * inner(z[None, :, None])[0, :, 0]
-            for key, (_, w), end in zip(rules, parts, np.cumsum([w.size for _, w in parts])):
-                done[key] = float(density[end - w.size:end] @ w) / _SQRT_2PI
+            parts = []
+            for order, split in rules:
+                # every panel cut into split first
+                cuts = lefts + (rights - lefts) * (np.arange(split) / split)
+                ends = np.concatenate((cuts[:, 1:], rights), 1)
+                z, w = legendre_panels(cuts[..., None], ends[..., None], order)
+                parts.append((z.reshape(-1, split * order), w.reshape(-1, split * order)))
+            z = np.concatenate([z for z, _ in parts], 1)
+            density = np.exp(-0.5 * z * z) * inner(z[..., None])[..., 0]
+            for key, (_, w), end in zip(rules, parts, np.cumsum([w.shape[1] for _, w in parts])):
+                panel = np.einsum("ij,ij->i", density[:, end - w.shape[1]:end], w)
+                done[key] = np.bincount(row, panel, len(faces)) / _SQRT_2PI
         return done[rule]
 
     return mass
 
 
-def _box_route(kernel, box, x, t):
-    """(rule, keys) of n = 3 box u at one kernel time: e^{ct} amp P(lo <= Y <= hi).
-
-    An axis whose window, TRUNCATION_RADIUS sds about the mean of Y, lies
-    inside the box integrates out (a Gaussian's marginal is Gaussian),
-    leaving the closed form _box_prob of the others under _CLOSED_FORM; a
-    box that clips all three axes climbs _BOX_RULES of _box_mass.
-    """
-    faces, _, corr = _standardise(kernel, box, x, t)
-    lo, hi = faces[0]
-    front = box.amp * math.exp(kernel.spec.reaction * t)
-    cut = (lo > -TRUNCATION_RADIUS) | (hi < TRUNCATION_RADIUS)
-    if cut.all():
-        mass = _box_mass(lo, hi, corr)
-        return (lambda key: (front * mass(key), 0.0)), _BOX_RULES
-    kept = _box_prob(lo[None, cut], hi[None, cut], corr[np.ix_(cut, cut)])[0]
-    return _closed((front * float(kept), 0.0))
-
-
 def _grid_1d(kernel, grid, x, t, want_gradient):
-    """n = 1 grid data in closed form, at one kernel time t or an array of them.
+    """n = 1 grid data in closed form, at every kernel time of t.
 
     On the cell [y_k, y_k+1] the interpolant is v_k + beta_k (y - y_k).
     Against Y ~ N(m, sd^2), m = x + t b, sd = sqrt(2 t a), with z = (y - m)
@@ -564,7 +548,7 @@ def _grid_1d(kernel, grid, x, t, want_gradient):
     time's window m +- TRUNCATION_RADIUS sd count, as in _grid_pass; z is
     standardised by _standard, so no z overflows.
     """
-    times = np.atleast_1d(t)[:, None]
+    times = t[:, None]
     mean = x[0] + times * kernel.spec.drift[0]
     sd = np.sqrt(2.0 * times * kernel.spec.diffusion.entries[0, 0])
     (origin,), (h,), values = grid.origin, grid.spacing, grid.values
@@ -584,14 +568,12 @@ def _grid_1d(kernel, grid, x, t, want_gradient):
         part = (level * (pa - pb) + beta * sd * (mass + za * pa - zb * pb)).sum(-1) / sd[:, 0]
     else:
         part = (level * mass + beta * sd * (pa - pb)).sum(-1)
-    out = np.exp(kernel.spec.reaction * times[:, 0]) * part
-    if np.ndim(t):
-        return (out[:, None] if want_gradient else out), np.zeros(out.size)
-    return (out if want_gradient else float(out[0])), 0.0
+    out = np.exp(kernel.spec.reaction * t) * part
+    return (out[:, None] if want_gradient else out), np.zeros(t.size)
 
 
 def _grid_pass(kernel, grid, x, t, order, want_gradient):
-    """The tensor rule of one order on the grid's multilinear interpolant.
+    """The tensor rule of one order on the grid's multilinear interpolant, at one kernel time t.
 
     It runs over the grid's support clipped to the kernel's window x + t b
     +- TRUNCATION_RADIUS sqrt(2 t A_jj), with panel edges at the grid
@@ -603,66 +585,66 @@ def _grid_pass(kernel, grid, x, t, order, want_gradient):
     lo = np.maximum([g[0] for g in lines], mean - TRUNCATION_RADIUS * sigma)
     hi = np.minimum([g[-1] for g in lines], mean + TRUNCATION_RADIUS * sigma)
     if (hi <= lo).any():
-        return (np.zeros(kernel.n) if want_gradient else 0.0), 0.0
+        return np.zeros((1, kernel.n) if want_gradient else 1), np.zeros(1)
     breaks = [np.concatenate([[l], g[(g > l) & (g < h)], [h]]) for l, h, g in zip(lo, hi, lines)]
     args, weights = _tensor_rule(breaks, sigma, order)
     weights = weights * grid(args)
     np.subtract(x, args, out=args)
-    if want_gradient:
-        return weights @ kernel.gradient(args, t), 0.0
-    return float(weights @ kernel.value(args, t)), 0.0
+    kern = kernel.gradient(args, t) if want_gradient else kernel.value(args, t)
+    return (weights @ kern)[None], np.zeros(1)
 
 
 def _kinks(data, t, tau):
     """The kinks of n = 1 data, one list per kernel time: a forcing's at each time's tau."""
     if tau is None:
-        return [data.kinks_1d()] * np.size(t)
-    return [data.spatial_kinks(s) for s in np.atleast_1d(tau).tolist()]
+        return [data.kinks_1d()] * t.size
+    return [data.spatial_kinks(s) for s in tau.tolist()]
 
 
 def _kink_route(kernel, data, x, t, want_gradient, tau, kinks):
-    """(rule, keys) of n = 1 data with kinks, at one kernel time t or an array of them.
+    """(rule, keys) of n = 1 data with kinks, at every kernel time of t.
 
     Each time takes Gauss-Legendre panels over its kernel window x + t b
     +- TRUNCATION_RADIUS 2 sqrt(t a), graded toward its kinks (_kinks).
     The edges are built once per time, here; a rule then evaluates the
     data (a forcing with each time's tau on that time's rows) and the
-    kernel once over the panels of all times and sums them by time (one
-    time sums with @, as a panel pass always has).
+    kernel once over the panels of all times and sums them by time.
     """
-    times = np.atleast_1d(t)
-    center = x[0] + times * kernel.spec.drift[0]
-    sigma = 2.0 * np.sqrt(times * float(kernel.dec.eigenvalues[-1]))
+    center = x[0] + t * kernel.spec.drift[0]
+    sigma = 2.0 * np.sqrt(t * float(kernel.dec.eigenvalues[-1]))
     edges, counts = panel_edges_batch(center - TRUNCATION_RADIUS * sigma,
                                       center + TRUNCATION_RADIUS * sigma, kinks)
     # every edge but each time's last starts a panel; the panels are built once, not per key
     starts = np.ones(edges.size, dtype=bool)
     starts[np.cumsum(counts) - 1] = False
     lefts = edges[starts][:, None]
-    halves = 0.5 * (edges[1:][starts[:-1]][:, None] - lefts)
+    rights = edges[1:][starts[:-1]][:, None]
     panels = counts - 1
 
     def rule(order):
-        # panel_nodes' nodes and weights, over the panels of every time
-        xg, wg = legendre_rule(order)
-        nodes = (lefts + halves * (xg + 1.0)).reshape(-1)
-        weights = (halves * wg).reshape(-1)
+        nodes, weights = (a.reshape(-1) for a in legendre_panels(lefts, rights, order))
         rows = panels * order
-        if tau is None:
-            vals = data(nodes[:, None])
-        else:
-            vals = data(nodes[:, None], np.repeat(tau, rows) if np.ndim(tau) else tau)
+        vals = data(nodes[:, None]) if tau is None else data(nodes[:, None], np.repeat(tau, rows))
         args = (x[0] - nodes)[:, None]
-        at = np.repeat(times, rows) if np.ndim(t) else t
+        # one time goes to the kernel as its scalar time for all rows: no time scan per row
+        at = float(t[0]) if t.size == 1 else np.repeat(t, rows)
         kern = kernel.gradient(args, at)[:, 0] if want_gradient else kernel.value(args, at)
-        terms = kern * vals
-        if np.ndim(t):
-            out = np.add.reduceat(weights * terms, np.cumsum(rows) - rows)
-            return (out[:, None] if want_gradient else out), np.zeros(out.size)
-        out = float(weights @ terms)
-        return (np.array([out]) if want_gradient else out), 0.0
+        out = np.add.reduceat(weights * (kern * vals), np.cumsum(rows) - rows)
+        return (out[:, None] if want_gradient else out), np.zeros(t.size)
 
     return rule, _KINK_RULES
+
+
+def _per_time(route, t, tau):
+    """One rule over the kernel times t that stacks route(s, tau_s), the rule at one time s."""
+    taus = [None] * t.size if tau is None else tau.tolist()
+    rules = [route(s, at) for s, at in zip(t.tolist(), taus)]
+
+    def rule(key):
+        values, dropped = zip(*(one(key) for one in rules))
+        return np.concatenate(values), np.concatenate(dropped)
+
+    return rule
 
 
 @lru_cache(maxsize=None)
@@ -686,25 +668,21 @@ def _closed(result):
 
 
 def _route(kernel, data, x, t, want_gradient, sup, tau=None):
-    """The rule for the integral of G(x - y, t) phi(y) over y that the data picks.
+    """The rule for the integral of G(x - y, s) phi(y) over y at every kernel time s of t.
 
-    Returns (rule, keys): rule(key) gives the integral and a bound on what
-    the rule leaves out; keys[0] names the coarse comparison rule and
-    keys[1:] the ladder an unmet error estimate climbs. Data with a
-    Gaussian factor takes _hermite_pass in the frame of its product with
-    the kernel at its one exact order, constant data its closed form, box
-    data its Gaussian box probability (_box_1d, _box_closed, _box_route),
-    grid data its cells (_grid_1d in closed form at n = 1), n = 1 data
-    with kinks the kink panels and everything else _hermite_pass in the
-    kernel's own frame (q = 0). A closed form (the Gaussian-factor pass,
-    n = 1 grids, box data but n = 3 u, an n = 3 box u with an axis inside
-    the box) is computed here, once, under the key _CLOSED_FORM. An array
-    t (several kernel times) gives results stacked by time. A forcing that
-    varies in time comes as data with tau, its forcing times, one per
-    kernel time; it takes the kink panels or the kernel's frame. The
-    Gaussian-factor, constant, box (but n = 3 u), n = 1 grid and kink
-    routes take all times in one call, the others one time (and tau) at a
-    time.
+    t is a 1-D array of m kernel times, and tau, for a forcing that varies
+    in time, its m forcing times. Returns (rule, keys): rule(key) gives the
+    integrals, values (m,) or gradients (m, n), and bounds (m,) on what the
+    rule leaves out; keys[0] names the coarse comparison rule and keys[1:]
+    the ladder an unmet error estimate climbs. Data with a Gaussian factor
+    takes _hermite_pass in the frame of its product with the kernel at its
+    one exact order, constant data its closed form, box data its Gaussian
+    box probability (_box_1d, _box_closed, _box_mass for n = 3 u), grid
+    data its cells (_grid_1d in closed form at n = 1), n = 1 data with
+    kinks the kink panels and everything else _hermite_pass in the
+    kernel's own frame (q = 0). A closed form is computed here, once, under
+    the key _CLOSED_FORM. Every route takes all times at once but the n >= 2
+    grids and the kernel frame (_per_time).
     """
     factor = None if tau is not None else data.gaussian_factor()
     if factor is not None:
@@ -720,34 +698,30 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
         return _closed(_box_1d(kernel, data, x, t, want_gradient))
     elif isinstance(data, BoxIndicator) and (data.n == 2 or want_gradient):
         return _closed(_box_closed(kernel, data, x, t, want_gradient))
+    elif isinstance(data, BoxIndicator):
+        # n = 3 u: e^{ct} amp P(lo <= Y <= hi), a 1-D ladder
+        faces, _, corr = _standardise(kernel, data, x, t)
+        mass = _box_mass(faces, corr)
+        front = data.amp * np.exp(kernel.spec.reaction * t)
+        return (lambda key: (front * mass(key), np.zeros(t.size))), _BOX_RULES
     elif isinstance(data, GridData) and data.n == 1:
         return _closed(_grid_1d(kernel, data, x, t, want_gradient))
     elif kernel.n == 1 and any(kinks := _kinks(data, t, tau)):
         return _kink_route(kernel, data, x, t, want_gradient, tau, kinks)
-    elif np.ndim(t):
-        taus = [None] * len(t) if tau is None else tau
-        routes = [_route(kernel, data, x, s, want_gradient, sup, at) for s, at in zip(t, taus)]
-
-        def stacked(key):
-            return tuple(zip(*(rule(key) for rule, _ in routes)))
-
-        # a closed form takes any key, so the ladder is that of the other times
-        keys = next((keys for _, keys in routes if keys is not _CLOSED_FORM), _CLOSED_FORM)
-        return stacked, keys
-    elif isinstance(data, BoxIndicator):
-        return _box_route(kernel, data, x, t)
     elif isinstance(data, GridData):
-        return partial(_grid_pass, kernel, data, x, t, want_gradient=want_gradient), _GRID_ORDERS
+        return (_per_time(lambda s, _: partial(_grid_pass, kernel, data, x, s,
+                                               want_gradient=want_gradient), t, tau),
+                _GRID_ORDERS)
     else:
-        # the kernel's own frame
-        frame = _product_frame(kernel, x, t, np.zeros(kernel.n), 0.0)
-        return (partial(_hermite_pass, kernel, data, frame, want_gradient=want_gradient, sup=sup,
-                        tau=tau), _hermite_keys(kernel.n))
+        # the kernel's own frame, one time (and tau) at a time
+        return _per_time(lambda s, at: partial(
+            _hermite_pass, kernel, data, _product_frame(kernel, x, s, np.zeros(kernel.n), 0.0),
+            want_gradient=want_gradient, sup=sup, tau=at), t, tau), _hermite_keys(kernel.n)
 
 
 def _magnitude(v) -> float:
     """Euclidean norm of a value or gradient; unlike sqrt(v.v) it cannot overflow."""
-    return math.hypot(*np.atleast_1d(v))
+    return math.hypot(*v) if isinstance(v, np.ndarray) else abs(v)
 
 
 def _tolerance_scale(value, bound) -> float:
@@ -775,10 +749,9 @@ class _SigmaPanel:
         half = 0.5 * (b - a)
         sigmas = (a + half) + half * GK15_NODES
         times = sigmas * sigmas
-        if isinstance(forcing, TimeInvariantForcing):
-            self.rule, self.keys = _route(kernel, forcing.profile, x, times, want_gradient, sup)
-        else:
-            self.rule, self.keys = _route(kernel, forcing, x, times, want_gradient, sup, t - times)
+        data, tau = ((forcing.profile, None) if isinstance(forcing, TimeInvariantForcing)
+                     else (forcing, t - times))
+        self.rule, self.keys = _route(kernel, data, x, times, want_gradient, sup, tau)
         self.depth = len(self.keys)
         self.kronrod = 2.0 * half * sigmas * GK15_WEIGHTS
         self.gauss = 2.0 * half * sigmas * G7_WEIGHTS
@@ -787,8 +760,7 @@ class _SigmaPanel:
     def at(self, k):
         key = self.keys[min(k, self.depth - 1)]
         if key not in self.cache:
-            values, dropped = self.rule(key)
-            self.cache[key] = np.asarray(values, dtype=float), np.asarray(dropped, dtype=float)
+            self.cache[key] = self.rule(key)
         return self.cache[key]
 
     def sums(self, k):
@@ -882,11 +854,15 @@ def _eval(kernel, data, x, t, quad, want_gradient, nonhom):
         if nonhom:
             value, est = _duhamel(kernel, data, x, t, quad, want_gradient, sup, bound)
         else:
-            rule, keys = _route(kernel, data, x, t, want_gradient, sup)
-            value, _ = rule(keys[0])
+            rule, keys = _route(kernel, data, x, np.array([t]), want_gradient, sup)
+
+            def at(key):  # the one time's gradient, or u, and its bound as floats
+                values, dropped = rule(key)
+                return (values[0] if want_gradient else float(values[0])), float(dropped[0])
+            value, _ = at(keys[0])
             est = math.inf
             for key in keys[1:]:
-                finer, dropped = rule(key)
+                finer, dropped = at(key)
                 est = _magnitude(finer - value) + dropped
                 value = finer
                 if est <= quad.target_rel_err * _tolerance_scale(value, bound):

@@ -201,19 +201,21 @@ class TestOverflow:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_box_far_field_is_zero_without_warnings(self, capsys, kind, n):
         # a drift of 1e300 puts the box some 1e300 sds from every kernel window: u and
-        # grad u are exactly 0, and no standardised face is squared beyond float64
+        # grad u are exactly 0, and no standardised face is squared beyond float64; at
+        # t = 7 a drift of 1e308 leaves the mean x + t b itself at inf
         a = (np.eye(n) + 0.3) / 1.3
-        b = [0.0] * n
-        b[n - 1] = -1e300
-        spec = json.dumps({"n": n, "A": a.tolist(), "b": b, "c": 0, "T": 8})
         box = f"box:lo={' '.join(['-1'] * n)},hi={' '.join(['1'] * n)}"
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            code = run_cli(["solve", "--spec-json", spec, "--kind", kind, "--data", box,
-                            "--points", ",".join(["0"] * n + ["1"])])
-        assert code == 0
-        row = capsys.readouterr().out.splitlines()[2].split(",")
-        assert [float(v) for v in row[n + 1:]] == [0.0] * (n + 1)
+        for drift, t in ((-1e300, 1), (1e308, 7)):
+            b = [0.0] * n
+            b[n - 1] = drift
+            spec = json.dumps({"n": n, "A": a.tolist(), "b": b, "c": 0, "T": 8})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(["solve", "--spec-json", spec, "--kind", kind, "--data", box,
+                                "--points", ",".join(["0"] * n + [str(t)])])
+            assert code == 0
+            row = capsys.readouterr().out.splitlines()[2].split(",")
+            assert [float(v) for v in row[n + 1:]] == [0.0] * (n + 1)
 
     @pytest.mark.parametrize("data", ["constant:value=1e300", "box:lo=-1,hi=1,amp=1e300"])
     def test_solve_answer_beyond_float64(self, capsys, data):

@@ -425,27 +425,113 @@ class TestSolveNonhomogeneous:
         assert used == [(15, 12), (15, 8)] * 4
 
 
-    def test_box_closed_forms_take_every_kernel_time_at_once(self):
-        # n = 2 box data (u and grad u) and the n = 3 box gradient are closed forms
-        # over an array of kernel times, as a sigma panel hands them: one call, and
-        # each time as its own call gives it; n = 3 u climbs its 1-D ladder per time
-        k2 = make_kernel([[1.0, 0.6], [0.6, 2.0]], [0.5, -1.0], -0.25)
-        k3 = make_kernel([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]],
-                         [0.5, -1.0, 0.3], -0.25)
-        times = np.geomspace(1e-4, 2.0, 15)
-        for k, gradients in ((k2, (False, True)), (k3, (True,))):
-            box = BoxIndicator(lo=(-0.5,) * k.n, hi=(0.5,) * k.n, amp=1.3)
-            x = np.full(k.n, 0.2)
-            for want_gradient in gradients:
-                rule, keys = sv._route(k, box, x, times, want_gradient, 1.3)
-                assert keys == sv._CLOSED_FORM
-                values, dropped = rule(keys[0])
-                assert np.shape(values) == ((15, k.n) if want_gradient else (15,))
-                assert np.array_equal(dropped, np.zeros(15))
-                for s, value in zip(times.tolist(), values):
-                    one, _ = sv._route(k, box, x, s, want_gradient, 1.3)[0](keys[0])
-                    assert np.allclose(value, one, rtol=1e-15, atol=0.0)
-        assert sv._route(k3, box, x, times, False, 1.3)[1] == sv._BOX_RULES
+_K1 = make_kernel([[1.3]], [0.5], -0.25)
+_K2 = make_kernel([[1.0, 0.6], [0.6, 2.0]], [0.5, -1.0], -0.25)
+_K3 = make_kernel([[1.0, 0.2, 0.1], [0.2, 1.5, 0.3], [0.1, 0.3, 2.0]], [0.5, -1.0, 0.3], -0.25)
+_KERNELS = {1: _K1, 2: _K2, 3: _K3}
+
+
+def _grid(n):
+    """A grid of exp(-|y|^2 / 2) over [-3, 3]^n, spacing 0.25."""
+    ys = np.arange(-3.0, 3.125, 0.25)
+    mesh = np.meshgrid(*[ys] * n, indexing="ij")
+    return GridData([ys[0]] * n, [0.25] * n, np.exp(-0.5 * sum(m * m for m in mesh)))
+
+
+def _extremal_forcing(n):
+    """p = inf extremal forcing: kinks at n = 1, none named at n = 2."""
+    target = ExtremalTarget(x0=(0.2, -0.1)[:n], t0=2.1, p=math.inf,
+                            direction=(1.0,) if n == 1 else (0.6, 0.8), mollify=0.3)
+    return extremal_forcing(_KERNELS[n], target)
+
+
+# (data, the keys of its route); a forcing that varies in time takes its tau per kernel time
+_CONTRACT_CASES = {
+    "gaussian": lambda: (GaussianBump(center=(0.1, -0.2), spread=0.5), sv._CLOSED_FORM),
+    "polygauss": lambda: (PolynomialGaussian(center=(0.1, -0.2), spread=0.5, powers=(1, 2)),
+                          sv._CLOSED_FORM),
+    "constant": lambda: (ConstantData(1.7, dim=2), sv._CLOSED_FORM),
+    "box1": lambda: (BoxIndicator(lo=(-0.5,), hi=(0.5,), amp=1.3), sv._CLOSED_FORM),
+    "box2": lambda: (BoxIndicator(lo=(-0.5,) * 2, hi=(0.5,) * 2, amp=1.3), sv._CLOSED_FORM),
+    "box3": lambda: (BoxIndicator(lo=(-0.5,) * 3, hi=(0.5,) * 3, amp=1.3), None),
+    "grid1": lambda: (_grid(1), sv._CLOSED_FORM),
+    "grid2": lambda: (_grid(2), sv._GRID_ORDERS),
+    "kinks1": lambda: (extremal_initial_data(_K1, ExtremalTarget(
+        x0=(0.2,), t0=0.7, p=4.0, direction=(1.0,))), sv._KINK_RULES),
+    "custom2": lambda: (_CountingSource(GaussianBump(center=(0.1, -0.2), spread=0.5)),
+                        sv._hermite_keys(2)),
+    "forcing_kinks1": lambda: (_extremal_forcing(1), sv._KINK_RULES),
+    "forcing2": lambda: (_extremal_forcing(2), sv._hermite_keys(2)),
+}
+
+
+@pytest.mark.parametrize("want_gradient", [False, True])
+@pytest.mark.parametrize("case", list(_CONTRACT_CASES))
+def test_every_route_takes_every_kernel_time_at_once(case, want_gradient):
+    # the contract of _route's rules, as a sigma panel hands them 15 kernel times: one call
+    # gives values (15,) or gradients (15, n) and bounds (15,), each time as each time's own
+    # one-element call gives it; n = 3 box u climbs its 1-D ladder, the n = 3 box gradient
+    # is a closed form
+    data, keys = _CONTRACT_CASES[case]()
+    if keys is None:
+        keys = sv._CLOSED_FORM if want_gradient else sv._BOX_RULES
+    k, sup = _KERNELS[data.n], 1.7
+    x = np.full(k.n, 0.2)
+    times = np.geomspace(1e-4, 2.0, 15)
+    taus = 2.1 - times if isinstance(data, SpaceTimeSource) else None
+    rule, route_keys = sv._route(k, data, x, times, want_gradient, sup, taus)
+    assert route_keys == keys
+    # the box routes share one standardisation by time and hold 1e-15
+    rtol = 1e-15 if isinstance(data, BoxIndicator) else 1e-14
+    for key in keys[:3]:
+        values, dropped = rule(key)
+        assert np.shape(values) == ((15, k.n) if want_gradient else (15,))
+        assert np.shape(dropped) == (15,)
+        if keys == sv._CLOSED_FORM and data.gaussian_factor() is None:
+            # exact but for the roundoff bound of the product frame's +-xi pairs
+            assert np.array_equal(dropped, np.zeros(15))
+        for i, s in enumerate(times.tolist()):
+            tau = None if taus is None else taus[i:i + 1]
+            one, one_dropped = sv._route(k, data, x, np.array([s]), want_gradient, sup, tau)[0](key)
+            assert np.shape(one) == ((1, k.n) if want_gradient else (1,))
+            assert np.all(np.abs(values[i] - one[0]) <= rtol * np.abs(one[0]))
+            assert abs(dropped[i] - one_dropped[0]) <= rtol * abs(one_dropped[0])
+
+
+class TestBox3Window:
+    """n = 3 box u where a kernel window lies inside the box or misses it."""
+
+    BOX = BoxIndicator(lo=(-2.0,) * 3, hi=(2.0,) * 3, amp=1.3)
+    INSIDE = np.array([0.1, -0.1, 0.05])
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3])
+    def test_window_inside_the_box_gives_the_whole_mass(self, t):
+        # the window, TRUNCATION_RADIUS sds about the mean of Y, lies inside the box on
+        # every axis: u = amp e^{ct}
+        u = sv.solve_homogeneous(_K3, self.BOX, self.INSIDE, t)
+        assert u == pytest.approx(1.3 * math.exp(-0.25 * t), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("x", [(5.0, 0.0, 0.0), (0.0, 5.0, 0.0), (0.0, 0.0, 5.0)])
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_window_that_misses_the_box_gives_zero(self, x, correlated):
+        # strongly correlated, the Z_0 rule grades toward sharp turns; a window that misses
+        # the box leaves it no panel at all
+        k = make_kernel([[0.7011, 0.9235, 1.2437], [0.9235, 1.2199, 1.6429],
+                         [1.2437, 1.6429, 2.2187]], [0.0] * 3, 0.0) if correlated else _K3
+        assert sv.solve_homogeneous(k, self.BOX, x, 1e-3) == 0.0
+
+    def test_one_call_mixes_inside_and_clipping_windows(self):
+        times = np.geomspace(1e-6, 2.0, 15)
+        faces, _, _ = sv._standardise(_K3, self.BOX, self.INSIDE, times)
+        radius = sv.TRUNCATION_RADIUS
+        inside = (faces[:, 0] <= -radius).all(1) & (faces[:, 1] >= radius).all(1)
+        assert inside.any() and not inside.all()
+        rule, keys = sv._route(_K3, self.BOX, self.INSIDE, times, False, 1.3)
+        for key in keys:
+            values, _ = rule(key)
+            for s, value in zip(times.tolist(), values):
+                one, _ = sv._route(_K3, self.BOX, self.INSIDE, np.array([s]), False, 1.3)[0](key)
+                assert value == pytest.approx(one[0], rel=1e-15, abs=0.0)
 
 
 def _kink_reference(k, data, x, s, order, want_gradient, kinks, tau=None):
@@ -497,13 +583,13 @@ class TestKinkRoute:
         # off x0, where u (an odd profile about the kink, at t = t0) is no roundoff-level 0
         x = np.array([-0.4])
         for t in (0.05, 0.7, 2.5):
-            rule, keys = sv._route(k, data, x, t, want_gradient, data.sup_norm())
+            rule, keys = sv._route(k, data, x, np.array([t]), want_gradient, data.sup_norm())
             assert keys == sv._KINK_RULES
             for order in keys:
                 value, dropped = rule(order)
                 reference, _ = _kink_reference(k, data, x, t, order, want_gradient,
                                                data.kinks_1d())
-                assert dropped == 0.0
+                assert np.array_equal(dropped, [0.0])
                 assert abs(float(np.ravel(value)[0]) - reference) <= 1e-14 * abs(reference)
 
 
@@ -536,9 +622,10 @@ def test_time_varying_forcing_without_kinks_takes_the_kernel_frame_per_tau(n, wa
     for key in keys[:2]:
         batched, dropped = rule(key)
         for i, (s, tau) in enumerate(zip(times, t - times)):
-            one, one_dropped = sv._route(k, _AtTau(forcing, tau), x, s, want_gradient, 1.0)[0](key)
-            assert np.allclose(batched[i], one, rtol=1e-14, atol=0.0)
-            assert dropped[i] == one_dropped
+            one, one_dropped = sv._route(k, _AtTau(forcing, tau), x, np.array([s]), want_gradient,
+                                         1.0)[0](key)
+            assert np.allclose(batched[i], one[0], rtol=1e-14, atol=0.0)
+            assert dropped[i] == one_dropped[0]
 
 
 class _OneTauPerCall(SpaceTimeSource):
