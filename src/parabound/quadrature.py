@@ -5,7 +5,8 @@ weight exp(-|xi|^2), composite Gauss-Legendre panels with dyadic grading
 toward marked kink locations (used where integrands carry |.|^q kinks or
 sign jumps that would wreck a plain Hermite rule; solver and oracles
 grade to one depth, KINK_LEVELS), and the G7K15 Gauss-Kronrod pair of
-the solver's adaptive Duhamel rule.
+the solver's adaptive Duhamel rule. The oracles' batched passes run in
+row blocks of at most BLOCK_VALUES values each (row_blocks).
 """
 
 from __future__ import annotations
@@ -23,6 +24,12 @@ TRUNCATION_RADIUS = 12.0
 # Dyadic levels of the grading toward a kink, down to 2^-24 of the interval
 # (some 70 panels for one kink); 44 levels change no answer beyond roundoff.
 KINK_LEVELS = 24
+# Float64 values per block of an oracle's batched pass: 14 Ki values make
+# 112 KiB arrays, below glibc's 128 KiB M_MMAP_THRESHOLD (mallopt(3)), so a
+# block's temporaries come from the heap and are reused rather than mapped
+# and page-faulted in afresh on every call. Much smaller blocks pay Python
+# per block.
+BLOCK_VALUES = 14 * 1024
 
 # The G7K15 pair on [-1, 1], from QUADPACK's qk15 (Piessens et al. 1983): the
 # 15 Kronrod nodes in ascending order and their weights (exact to degree 22),
@@ -120,6 +127,16 @@ def pruned_hermite_tensor(order: int, dim: int):
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights, mass, moment
+
+
+def row_blocks(items: int, values: int):
+    """Consecutive slices of range(items) for items of `values` values each.
+
+    Each slice holds at most BLOCK_VALUES values, or a single item where one
+    item alone holds more.
+    """
+    step = max(1, BLOCK_VALUES // values)
+    return [slice(start, start + step) for start in range(0, items, step)]
 
 
 @lru_cache(maxsize=64)

@@ -21,7 +21,14 @@ import numpy as np
 from .errors import DivergentIntegral, DomainError, QuadratureFailure, UnsupportedData
 from .kernel import FundamentalSolution, ProblemSpec
 from .mathcore import SpdMatrix
-from .quadrature import TRUNCATION_RADIUS, hermite_tensor, panel_edges, panel_nodes
+from .quadrature import (
+    TRUNCATION_RADIUS,
+    hermite_rule,
+    hermite_tensor,
+    panel_edges,
+    panel_nodes,
+    row_blocks,
+)
 from .sharp_constants import (
     BoundQuery,
     conjugate_exponent,
@@ -71,19 +78,31 @@ def mass_quadrature_oracle(kernel: FundamentalSolution, t: float) -> float:
     MASS_NODE_SCALE, so the integrand seen by the rule is a genuine
     Gaussian profile: any mis-scaled exponent or prefactor in the kernel
     evaluation changes the result. Order 32 meets e^{ct} within 1e-14 at
-    n <= 3.
+    n <= 3. The 32^n nodes run in row blocks (row_blocks) over the first
+    coordinate, each generated from the 1-D rule in hermite_tensor's order
+    and with its left-to-right weight products, so no n-D tensor is built
+    or cached.
     """
     n = kernel.n
     if n > ORACLE_MAX_DIM:
         raise UnsupportedData(f"mass oracle supports n <= {ORACLE_MAX_DIM}")
-    xi, w = hermite_tensor(32, n)
+    x, w = hermite_rule(32)
     scale = 2.0 * math.sqrt(t) * MASS_NODE_SCALE
-    pts = -t * kernel.spec.drift + scale * (xi @ kernel.sqrt)
-    vals = kernel.value(pts, t)
-    q = np.einsum("ij,ij->i", xi, xi)
-    total_w = np.exp(np.log(w) + q)
+    total = 0.0
+    # blocks of the first coordinate's nodes, each with the whole tensor of the others
+    for block in row_blocks(x.size, x.size ** (n - 1) * n):
+        grids = np.meshgrid(x[block], *[x] * (n - 1), indexing="ij")
+        xi = np.stack([g.reshape(-1) for g in grids], axis=-1)
+        weights = w[block]
+        for _ in range(n - 1):
+            weights = np.multiply.outer(weights, w)
+        weights = weights.reshape(-1)
+        pts = -t * kernel.spec.drift + scale * (xi @ kernel.sqrt)
+        vals = kernel.value(pts, t)
+        q = np.einsum("ij,ij->i", xi, xi)
+        total += np.exp(np.log(weights) + q) @ vals
     jac = scale**n * kernel.det_sqrt
-    return float(jac * (total_w @ vals))
+    return float(jac * total)
 
 
 def _rotation_to_axis(v: np.ndarray) -> np.ndarray:
@@ -129,9 +148,10 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     remaining coordinates are integrated by Gauss-Hermite against the
     kernel's conditional Gaussian, of order 32 for p' <= 2 and 96 above,
     where the integrand's Gaussian is narrower than the rule's weight.
-    Kernel gradients enter as black-box point evaluations, all of one time
-    in one call. t may also be an array of times, with one integral per
-    time: at n = 1 they take one kernel call, at n >= 2 one call each.
+    Kernel gradients enter as black-box point evaluations, at n >= 2 in row
+    blocks of the outer nodes (row_blocks). t may also be an array of
+    times, with one integral per time: at n = 1 they take one kernel call
+    (callers hand in times a block at a time), at n >= 2 one pass each.
     """
     n = kernel.n
     if n > ORACLE_MAX_DIM:
@@ -150,16 +170,16 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     qx = np.einsum("ij,ij->i", xi, xi)
     total_wx = np.exp(np.log(wx) + qx)
     rest = 2.0 * math.sqrt(t) * (xi @ chol.T)
-    # y = center + Q z with z = (z1, shift z1 + rest), as one outer sum over (outer, inner)
+    # y = center + Q z with z = (z1, shift z1 + rest), an outer sum over (outer, inner)
     inner = rest @ q_rot[:, 1:].T - t * kernel.spec.drift
     along = q_rot[:, 0] + q_rot[:, 1:] @ shift
-    pts = inner[None, :, :] + z1[:, None, None] * along
-    flat = pts.reshape(-1, n)
-    vals = np.abs(kernel.gradient(flat, t) @ ell) ** p_conj
-    vals = vals.reshape(z1.size, xi.shape[0])
+    sums = np.empty(z1.size)
+    for block in row_blocks(z1.size, xi.shape[0] * n):
+        pts = inner[None, :, :] + z1[block, None, None] * along
+        vals = np.abs(kernel.gradient(pts.reshape(-1, n), t) @ ell) ** p_conj
+        sums[block] = vals.reshape(-1, xi.shape[0]) @ total_wx
     jac = (2.0 * math.sqrt(t)) ** (n - 1) * float(np.prod(np.diag(chol)))
-    inner = jac * (vals @ total_wx)
-    return float(w1 @ inner)
+    return float(w1 @ (jac * sums))
 
 
 @lru_cache(maxsize=1)
@@ -197,8 +217,10 @@ def _spacetime_power_integral(kernel, p_conj, t, integrand_power):
     s = (n(p'-1)+p')/2, which turns the eta^{-s} endpoint blowup into a
     bounded analytic integrand; 4 uniform Gauss-Legendre panels of order
     20 in v (80 nodes) then converge spectrally. integrand_power(eta) takes
-    the array of all nodes' kernel times and returns the spatial integral
-    at each.
+    an array of the nodes' kernel times and returns the spatial integral at
+    each. It is handed the nodes in row blocks (row_blocks) sized for one
+    window rule (_window_rule) of kernel rows per node, which is what the
+    n = 1 integrands evaluate.
     """
     n = kernel.n
     s = 0.5 * (n * (p_conj - 1.0) + p_conj)
@@ -210,7 +232,9 @@ def _spacetime_power_integral(kernel, p_conj, t, integrand_power):
     upper = t ** (1.0 - s)
     v_nodes, v_weights = panel_nodes(panel_edges(0.0, upper, base_panels=4), order=20)
     eta = v_nodes**power
-    return float((v_weights * power * v_nodes ** (power - 1.0)) @ integrand_power(eta))
+    rows = _window_rule()[0].size
+    spatial = np.concatenate([integrand_power(eta[block]) for block in row_blocks(eta.size, rows)])
+    return float((v_weights * power * v_nodes ** (power - 1.0)) @ spatial)
 
 
 def spacetime_grad_norm_oracle(kernel, p_conj, direction, t) -> float:
@@ -598,7 +622,8 @@ def sphere_surface_oracle(n: int, p_conj: float, v) -> float:
 
     Rotates v to the pole, then integrates with kink-split Gauss-Legendre
     panels in the polar angle; at n = 3 the azimuth takes the 64-point
-    trapezoid rule, the 64 x theta grid in one array pass.
+    trapezoid rule, the 64 x theta grid in row blocks of azimuths
+    (row_blocks).
     """
     v = np.asarray(v, dtype=float)
     rot = _rotation_to_axis(v)
@@ -616,8 +641,12 @@ def sphere_surface_oracle(n: int, p_conj: float, v) -> float:
         sin_th = np.sin(theta)
         # (e, v) over the 64 x theta grid: e = rot (cos theta, sin theta cos phi, sin theta sin phi)
         rv = rot.T @ v
-        dots = rv[0] * np.cos(theta) + sin_th * (rv[1] * np.cos(phi) + rv[2] * np.sin(phi))
-        return 2.0 * math.pi / 64 * float((np.abs(dots) ** p_conj @ (w_th * sin_th)).sum())
+        pole, weights = rv[0] * np.cos(theta), w_th * sin_th
+        sums = np.empty(phi.size)
+        for block in row_blocks(phi.size, theta.size):
+            dots = pole + sin_th * (rv[1] * np.cos(phi[block]) + rv[2] * np.sin(phi[block]))
+            sums[block] = np.abs(dots) ** p_conj @ weights
+        return 2.0 * math.pi / 64 * float(sums.sum())
     raise UnsupportedData("surface oracle implemented for n in {2, 3}")
 
 

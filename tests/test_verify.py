@@ -10,6 +10,13 @@ from parabound import verify as vf
 from parabound.errors import DivergentIntegral, DomainError
 from parabound.kernel import FundamentalSolution, ProblemSpec
 from parabound.mathcore import SpdMatrix
+from parabound.quadrature import (
+    BLOCK_VALUES,
+    TRUNCATION_RADIUS,
+    hermite_tensor,
+    panel_edges,
+    panel_nodes,
+)
 from parabound.sharp_constants import (
     BoundQuery,
     conjugate_exponent,
@@ -108,12 +115,18 @@ class TestSpacetimeOracle:
         closed = sharp_coefficient_nonhom(k, math.inf, t, np.array([1.0])).value
         assert abs(val - closed) <= 1e-10 * closed
 
-    @pytest.mark.parametrize("p", [3.5, 4.0, 6.0, 8.0, math.inf])
-    def test_time_rule_to_near_roundoff(self, p):
-        rng = np.random.default_rng(int(10 * min(p, 9.0)))
-        k = random_kernel(rng, 1)
+    @pytest.mark.parametrize(
+        "n, p",
+        [(1, 3.5), (1, 4.0), (1, 6.0), (1, 8.0), (1, math.inf),
+         (2, 6.0), (2, 8.0), (2, math.inf)],
+        ids=["3.5", "4.0", "6.0", "8.0", "inf", "n2-6.0", "n2-8.0", "n2-inf"],
+    )
+    def test_time_rule_to_near_roundoff(self, n, p):
+        # n = 2 takes one blocked kernel_grad_power_integral pass per time node
+        rng = np.random.default_rng(int(10 * min(p, 9.0)) + 100 * (n - 1))
+        k = random_kernel(rng, n)
         t = float(rng.uniform(0.3, 2.0))
-        ell = np.array([1.0])
+        ell = np.array([1.0]) if n == 1 else vf.random_unit_vector(rng, n)
         oracle = vf.spacetime_grad_norm_oracle(k, conjugate_exponent(p), ell, t)
         closed = sharp_coefficient_nonhom(k, p, t, ell).value
         assert abs(oracle - closed) <= 2e-13 * closed
@@ -417,3 +430,108 @@ class TestSolvedSolutionResidual:
         sums = [np.mean([residual(x, t, h) for x, t in points]) for h in steps]
         order = math.log(sums[0] / sums[-1]) / math.log(steps[0] / steps[-1])
         assert order >= 1.8
+
+
+# checks whose kernel calls come from the solver, not from an oracle pass
+SOLVER_ROUTED = ("attainment_hom/", "attainment_nonhom/pinf_mollified", "b_invariance/attainment",
+                 "max_principle/")
+
+
+def one_pass_spacetime_norm(kernel, p_conj, t):
+    """The n = 1 space-time oracle with all 80 time nodes in one kernel call."""
+    s = p_conj - 0.5
+    power = 1.0 / (1.0 - s)
+    v, wv = panel_nodes(panel_edges(0.0, t ** (1.0 - s), base_panels=4), order=20)
+    eta = v**power
+    z, w = vf._window_rule()
+    sigma = 2.0 * np.sqrt(eta * float(kernel.dec.eigenvalues[-1]))
+    pts = np.outer(sigma, z) - (eta * kernel.spec.drift[0])[:, None]
+    grads = kernel.gradient(pts.reshape(-1, 1), np.repeat(eta, z.size))[:, 0]
+    spatial = sigma * ((np.abs(grads) ** p_conj).reshape(pts.shape) @ w)
+    return float((wv * power * v ** (power - 1.0)) @ spatial) ** (1.0 / p_conj)
+
+
+def one_pass_grad_power(kernel, p_conj, ell, t):
+    """kernel_grad_power_integral at n >= 2 with every outer node in one kernel call."""
+    n = kernel.n
+    q_rot, shift, chol = vf._directional_kink_frame(kernel, ell, t)
+    radius = TRUNCATION_RADIUS * 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
+    z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,)), order=12)
+    xi, wx = hermite_tensor(32 if p_conj <= 2.0 else 96, n - 1)
+    inner = 2.0 * math.sqrt(t) * (xi @ chol.T) @ q_rot[:, 1:].T - t * kernel.spec.drift
+    along = q_rot[:, 0] + q_rot[:, 1:] @ shift
+    pts = (inner[None, :, :] + z1[:, None, None] * along).reshape(-1, n)
+    vals = np.abs(kernel.gradient(pts, t) @ ell) ** p_conj
+    sums = vals.reshape(z1.size, -1) @ np.exp(np.log(wx) + np.einsum("ij,ij->i", xi, xi))
+    jac = (2.0 * math.sqrt(t)) ** (n - 1) * float(np.prod(np.diag(chol)))
+    return float(w1 @ (jac * sums))
+
+
+def one_pass_mass(kernel, t):
+    """mass_quadrature_oracle over the whole cached tensor rule in one kernel call."""
+    xi, w = hermite_tensor(32, kernel.n)
+    scale = 2.0 * math.sqrt(t) * vf.MASS_NODE_SCALE
+    vals = kernel.value(-t * kernel.spec.drift + scale * (xi @ kernel.sqrt), t)
+    total_w = np.exp(np.log(w) + np.einsum("ij,ij->i", xi, xi))
+    return float(scale**kernel.n * kernel.det_sqrt * (total_w @ vals))
+
+
+def one_pass_sphere_n3(p_conj, v):
+    """The n = 3 surface oracle over the whole 64 x theta grid at once."""
+    rv = vf._rotation_to_axis(v).T @ v
+    theta, w_th = panel_nodes(panel_edges(0.0, math.pi, kinks=(0.5 * math.pi,)))
+    phi = np.linspace(0.0, 2.0 * math.pi, 65)[:-1, None]
+    sin_th = np.sin(theta)
+    dots = rv[0] * np.cos(theta) + sin_th * (rv[1] * np.cos(phi) + rv[2] * np.sin(phi))
+    return 2.0 * math.pi / 64 * float((np.abs(dots) ** p_conj @ (w_th * sin_th)).sum())
+
+
+class TestBlockedOracles:
+    @pytest.mark.parametrize("seed", [20250810, 7])
+    def test_no_kernel_call_exceeds_a_block(self, seed, monkeypatch):
+        calls = []
+        for method in ("value", "gradient"):
+            def wrapped(self, x, t, original=getattr(FundamentalSolution, method)):
+                calls.append((np.atleast_2d(x).shape[0], self.n))
+                return original(self, x, t)
+
+            monkeypatch.setattr(FundamentalSolution, method, wrapped)
+        ran = [fn() for name, fn in vf.default_checks(seed) if not name.startswith(SOLVER_ROUTED)]
+        assert len(ran) == 29 and all(r.passed for r in ran)
+        assert all(rows <= BLOCK_VALUES // n for rows, n in calls), max(calls)
+
+    @pytest.mark.parametrize("p_conj", [4.0 / 3.0, 6.0 / 5.0, 1.0], ids=["4/3", "6/5", "1"])
+    def test_spacetime_oracle_matches_one_pass(self, p_conj):
+        rng = np.random.default_rng(40)
+        for _ in range(2):
+            k = random_kernel(rng, 1)
+            t = float(rng.uniform(0.3, 2.0))
+            blocked = vf.spacetime_grad_norm_oracle(k, p_conj, np.array([1.0]), t)
+            assert abs(blocked / one_pass_spacetime_norm(k, p_conj, t) - 1.0) <= 1e-15
+
+    @pytest.mark.parametrize("p_conj", [1.0, 4.0 / 3.0, 2.0, 4.0], ids=["1", "4/3", "2", "4"])
+    def test_n2_grad_power_matches_one_pass(self, p_conj):
+        # p' = 4 takes the order-96 inner rule
+        rng = np.random.default_rng(41)
+        for _ in range(2):
+            k = random_kernel(rng, 2)
+            ell = vf.random_unit_vector(rng, 2)
+            t = float(rng.uniform(0.3, 2.0))
+            blocked = vf.kernel_grad_power_integral(k, p_conj, ell, t)
+            assert abs(blocked / one_pass_grad_power(k, p_conj, ell, t) - 1.0) <= 1e-15
+
+    def test_n3_mass_matches_one_pass(self):
+        rng = np.random.default_rng(42)
+        for _ in range(3):
+            k = FundamentalSolution(vf.random_problem(rng, 3))
+            t = float(rng.uniform(0.2, 3.0))
+            blocked = vf.mass_quadrature_oracle(k, t)
+            assert abs(blocked / one_pass_mass(k, t) - 1.0) <= 1e-15
+
+    def test_n3_sphere_matches_one_pass(self):
+        rng = np.random.default_rng(43)
+        for _ in range(3):
+            v = vf.random_unit_vector(rng, 3) * float(rng.uniform(0.5, 2.0))
+            pc = float(rng.uniform(1.0, 2.5))
+            blocked = vf.sphere_surface_oracle(3, pc, v)
+            assert abs(blocked / one_pass_sphere_n3(pc, v) - 1.0) <= 1e-15
