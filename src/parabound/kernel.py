@@ -107,20 +107,14 @@ class FundamentalSolution:
         self.sqrt = self.dec.sqrt.entries
 
     def _check_time(self, t: float) -> float:
-        if not t > 0.0:
-            raise NonpositiveTime(f"kernel evaluation requires t > 0, got {t}")
+        if not 0.0 < t < math.inf:
+            error = DomainError if t > 0.0 else NonpositiveTime
+            raise error(f"kernel evaluation requires a finite t > 0, got {t}")
         return float(t)
 
-    def _check_times(self, t) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        bad = ~(t > 0.0)
-        if bad.any():
-            raise NonpositiveTime(f"kernel evaluation requires t > 0, got {t[bad][0]}")
-        return t
-
     def _rows(self, x, t):
-        """Points of shape (m, n) and an array of m times, one per row, checked."""
-        t = self._check_times(t)
+        """Points of shape (m, n) and an array of m times, one per row; _runs checks the times."""
+        t = np.asarray(t, dtype=float)
         pts = np.asarray(x, dtype=float)
         if t.ndim != 1 or pts.shape != (t.size, self.n):
             raise DomainError(f"points of shape {pts.shape} do not match {t.size} times, n = {self.n}")
@@ -154,15 +148,19 @@ class FundamentalSolution:
         matches the scalar calls bitwise.
         """
         if np.ndim(t):
-            t = self._check_times(t)
-            starts = np.flatnonzero(t[1:] != t[:-1]) + 1
-            first = np.concatenate(([0], starts))
-            runs = list(map(self._log_prefactor, t[first].tolist()))
-            return np.repeat(runs, np.concatenate((starts, [t.size])) - first)
-        return self._log_prefactor(self._check_time(t))
+            return np.repeat(*self._runs(np.asarray(t, dtype=float)))
+        return self._log_prefactor(t)
+
+    def _runs(self, t):
+        """The runs of equal times of a 1-D array t: the log_prefactor of each (checked) and their
+        lengths. NaN != NaN starts a run of its own, so every time is checked."""
+        first = np.flatnonzero(np.concatenate(([t.size > 0], t[1:] != t[:-1])))
+        lengths = np.concatenate((first[1:], [t.size])) - first
+        return list(map(self._log_prefactor, t[first].tolist())), lengths
 
     def _log_prefactor(self, t: float) -> float:
-        """log_prefactor of one checked time, in scalar arithmetic."""
+        """log_prefactor of one time, checked, in scalar arithmetic."""
+        t = self._check_time(t)
         return (
             self.spec.reaction * t
             - self.n * math.log(2.0 * math.sqrt(math.pi * t))
@@ -173,12 +171,15 @@ class FundamentalSolution:
         """The pass value and gradient share: (x + t b, G(x, t), t, single).
 
         t comes back as a column for one time per row of x, else as the
-        checked scalar; single tells a lone point of shape (n,).
+        checked scalar; single tells a lone point of shape (n,). Every time
+        is checked before any arithmetic.
         """
         if np.ndim(t):
             pts, t = self._rows(x, t)
+            runs = self._runs(t)
             col, single = t[:, None], False
         else:
+            runs = None
             col = t = self._check_time(t)
             pts, single = self._points(x)
         shifted = pts + col * self.spec.drift
@@ -187,7 +188,9 @@ class FundamentalSolution:
         xi = np.dot(shifted, self.inv_sqrt)
         xi /= 2.0 * np.sqrt(col)
         q = np.einsum("ij,ij->i", xi, xi)
-        g = np.exp(self.log_prefactor(t) - q)
+        # the rows' prefactors last: spread before the temporaries above, they can leave the heap
+        # top to be trimmed and page-faulted in afresh on every call
+        g = np.exp((np.repeat(*runs) if runs else self._log_prefactor(t)) - q)
         g[q > EXP_UNDERFLOW] = 0.0
         return shifted, g, col, single
 

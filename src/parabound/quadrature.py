@@ -5,8 +5,9 @@ weight exp(-|xi|^2), composite Gauss-Legendre panels with dyadic grading
 toward marked kink locations (used where integrands carry |.|^q kinks or
 sign jumps that would wreck a plain Hermite rule; solver and oracles
 grade to one depth, KINK_LEVELS), and the G7K15 Gauss-Kronrod pair of
-the solver's adaptive Duhamel rule. The oracles' batched passes run in
-row blocks of at most BLOCK_VALUES values each (row_blocks).
+the solver's adaptive Duhamel rule. Every tensor product is laid out here
+(tensor_rule); large ones and the oracles' batched passes are built in row
+blocks of at most BLOCK_VALUES values each (row_blocks).
 """
 
 from __future__ import annotations
@@ -85,6 +86,19 @@ def hermite_rule(order: int):
     return x, w
 
 
+def tensor_nodes(axes):
+    """Tensor product of 1-D coordinate arrays as (m, d) points: C order, last axis fastest."""
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(axes))
+
+
+def tensor_rule(rules):
+    """Tensor product of 1-D rules [(nodes, weights), ...]: tensor_nodes, weights multiplied left to right."""
+    weights = rules[0][1]
+    for _, w in rules[1:]:
+        weights = np.multiply.outer(weights, w)
+    return tensor_nodes([x for x, _ in rules]), weights.reshape(-1)
+
+
 @lru_cache(maxsize=64)
 def hermite_tensor(order: int, dim: int):
     """Tensor-product Gauss-Hermite rule on R^dim.
@@ -93,13 +107,7 @@ def hermite_tensor(order: int, dim: int):
     weights sum to pi^(dim/2) exactly up to roundoff, which makes the rule
     exact for constant data.
     """
-    x, w = hermite_rule(order)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    nodes = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    weights = np.ones(nodes.shape[0])
-    wgrids = np.meshgrid(*([w] * dim), indexing="ij")
-    for g in wgrids:
-        weights = weights * g.reshape(-1)
+    nodes, weights = tensor_rule([hermite_rule(order)] * dim)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -115,15 +123,20 @@ def pruned_hermite_tensor(order: int, dim: int):
     sum w and moment is sum w |xi| over the dropped nodes, so a caller can
     bound what they would have added. The weights are symmetric under
     xi -> -xi, so the kept set keeps the full rule's pairing: node k and
-    node N-1-k are negatives of each other.
+    node N-1-k are negatives of each other. The full tensor is never
+    built: it is pruned in row blocks over the first coordinate.
     """
-    nodes, weights = hermite_tensor(order, dim)
-    keep = weights > HERMITE_PRUNE_REL * weights.sum()
-    drop = ~keep
-    radius = np.sqrt(np.einsum("ij,ij->i", nodes, nodes))
-    mass = float(weights[drop].sum())
-    moment = float(weights[drop] @ radius[drop])
-    nodes, weights = nodes[keep], weights[keep]
+    x, w = hermite_rule(order)
+    floor = HERMITE_PRUNE_REL * w.sum() ** dim
+    kept, mass, moment = [], 0.0, 0.0
+    for block in row_blocks(order, order ** (dim - 1) * dim):
+        nodes, weights = tensor_rule([(x[block], w[block])] + [(x, w)] * (dim - 1))
+        keep = weights > floor
+        drop = ~keep
+        mass += float(weights[drop].sum())
+        moment += float(weights[drop] @ np.sqrt(np.einsum("ij,ij->i", nodes[drop], nodes[drop])))
+        kept.append((nodes[keep], weights[keep]))
+    nodes, weights = (np.concatenate(part) for part in zip(*kept))
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights, mass, moment

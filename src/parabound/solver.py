@@ -71,7 +71,7 @@ from __future__ import annotations
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -95,6 +95,7 @@ from .quadrature import (
     panel_edges_batch,
     panel_nodes,
     pruned_hermite_tensor,
+    tensor_rule,
 )
 from .sources import (
     BoxIndicator,
@@ -103,7 +104,6 @@ from .sources import (
     SourceFunction,
     SpaceTimeSource,
     TimeInvariantForcing,
-    _lattice,
 )
 
 SOLVER_MAX_DIM = 3
@@ -271,9 +271,7 @@ def _tensor_rule(breaks, sigma, order):
     size = math.prod(e.size - 1 for e in edges) * order ** len(edges)
     if size > _MAX_TENSOR_NODES:
         raise QuadratureFailure(f"grid rule needs {size} nodes, over the budget {_MAX_TENSOR_NODES}")
-    axes = [panel_nodes(e, order) for e in edges]
-    weights = reduce(np.multiply.outer, [w for _, w in axes]).reshape(-1)
-    return _lattice([nodes for nodes, _ in axes]), weights
+    return tensor_rule([panel_nodes(e, order) for e in edges])
 
 
 # math.erfc elementwise: numpy has no erfc, and scipy stays out of the package's import

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DomainError, FloatOverflow, MalformedGridFile
 from .mathcore import LOG_FLOAT_MAX
+from .quadrature import tensor_nodes
 
 GRID_MAGIC = b"PBGR"
 GRID_VERSION = 1
@@ -222,15 +223,6 @@ class ConstantData(SourceFunction):
         return math.inf
 
 
-def _lattice(axes):
-    """Tensor product of 1-D coordinate arrays as (m, n) points, last axis fastest."""
-    axes = list(axes)
-    if len(axes) == 1:
-        return np.reshape(axes[0], (-1, 1))
-    grids = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=-1)
-
-
 class GridData(SourceFunction):
     """Uniform-grid samples with multilinear interpolation, zero outside.
 
@@ -270,10 +262,10 @@ class GridData(SourceFunction):
     def cell_centers(self, refine):
         """Centres of the cells after splitting each cell into refine^n, as (m, n) points."""
         step = self.spacing / refine
-        return _lattice(
+        return tensor_nodes([
             self.origin[j] + step[j] * (np.arange((self.values.shape[j] - 1) * refine) + 0.5)
             for j in range(self.n)
-        )
+        ])
 
     def __call__(self, pts):
         pts = _as_points(pts, self.n)

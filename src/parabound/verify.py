@@ -28,6 +28,7 @@ from .quadrature import (
     panel_edges,
     panel_nodes,
     row_blocks,
+    tensor_rule,
 )
 from .sharp_constants import (
     BoundQuery,
@@ -79,9 +80,7 @@ def mass_quadrature_oracle(kernel: FundamentalSolution, t: float) -> float:
     Gaussian profile: any mis-scaled exponent or prefactor in the kernel
     evaluation changes the result. Order 32 meets e^{ct} within 1e-14 at
     n <= 3. The 32^n nodes run in row blocks (row_blocks) over the first
-    coordinate, each generated from the 1-D rule in hermite_tensor's order
-    and with its left-to-right weight products, so no n-D tensor is built
-    or cached.
+    coordinate, so no n-D tensor is built or cached.
     """
     n = kernel.n
     if n > ORACLE_MAX_DIM:
@@ -91,12 +90,7 @@ def mass_quadrature_oracle(kernel: FundamentalSolution, t: float) -> float:
     total = 0.0
     # blocks of the first coordinate's nodes, each with the whole tensor of the others
     for block in row_blocks(x.size, x.size ** (n - 1) * n):
-        grids = np.meshgrid(x[block], *[x] * (n - 1), indexing="ij")
-        xi = np.stack([g.reshape(-1) for g in grids], axis=-1)
-        weights = w[block]
-        for _ in range(n - 1):
-            weights = np.multiply.outer(weights, w)
-        weights = weights.reshape(-1)
+        xi, weights = tensor_rule([(x[block], w[block])] + [(x, w)] * (n - 1))
         pts = -t * kernel.spec.drift + scale * (xi @ kernel.sqrt)
         vals = kernel.value(pts, t)
         q = np.einsum("ij,ij->i", xi, xi)
@@ -400,15 +394,14 @@ class ExtremalForcing(SpaceTimeSource):
         # tau is one time or one per row; rows at tau >= t0 are exactly 0
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         tau = np.asarray(tau, dtype=float)
-        after = tau >= self.target.t0
-        if not after.any():
+        if not (tau >= self.target.t0).any():
             return _extremal_profile(self.kernel, self.target, self.normalizer, pts,
                                      self.target.t0 - tau)
+        tau = np.broadcast_to(tau, pts.shape[:1])
+        before = ~(tau >= self.target.t0)
         out = np.zeros(pts.shape[0])
-        before = ~after
-        if before.any():
-            out[before] = _extremal_profile(self.kernel, self.target, self.normalizer,
-                                            pts[before], self.target.t0 - tau[before])
+        out[before] = _extremal_profile(self.kernel, self.target, self.normalizer,
+                                        pts[before], self.target.t0 - tau[before])
         return out
 
     def spatial_kinks(self, tau):

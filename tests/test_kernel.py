@@ -111,15 +111,33 @@ class TestTimePerRow:
             assert np.array_equal(grad[i], k.gradient(x[i], t[i]))
             assert log_pref[i] == k.log_prefactor(t[i])
 
+    @pytest.mark.filterwarnings("error")
     def test_nonpositive_time_in_the_array(self):
+        # NaN and t <= 0 are nonpositive; an infinite time is outside the domain
         x = np.zeros((3, 1))
-        for bad in (0.0, -1e-300, math.nan):
+        for bad, error in ((0.0, NonpositiveTime), (-1e-300, NonpositiveTime),
+                           (math.nan, NonpositiveTime), (math.inf, DomainError)):
             t = np.array([0.5, bad, 1.0])
             for fn in (HEAT_1D.value, HEAT_1D.gradient):
-                with pytest.raises(NonpositiveTime):
+                with pytest.raises(error):
                     fn(x, t)
-            with pytest.raises(NonpositiveTime):
+            with pytest.raises(error):
                 HEAT_1D.log_prefactor(t)
+            for fn in (HEAT_1D.value, HEAT_1D.gradient, HEAT_1D.whitened, HEAT_1D.fourier_symbol):
+                with pytest.raises(error):
+                    fn(x[0], bad)
+            for fn in (HEAT_1D.log_prefactor, HEAT_1D.total_mass):
+                with pytest.raises(error):
+                    fn(bad)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_batch(self):
+        k = make_kernel([[1.0, 0.3], [0.3, 2.0]], [0.5, -1.0], -0.25)
+        x, t = np.empty((0, 2)), np.empty(0)
+        for times in (t, 0.7):
+            assert k.value(x, times).shape == (0,)
+            assert k.gradient(x, times).shape == (0, 2)
+        assert k.log_prefactor(t).shape == (0,)
 
     def test_one_time_per_row(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,6 @@
-"""Quadrature building blocks: the pruned tensor Gauss-Hermite rule and the G7K15 pair."""
+"""Quadrature building blocks: tensor rules, the pruned tensor Gauss-Hermite rule and the G7K15 pair."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -14,7 +16,30 @@ from parabound.quadrature import (
     panel_edges,
     panel_edges_batch,
     pruned_hermite_tensor,
+    tensor_nodes,
+    tensor_rule,
 )
+from parabound.solver import _hermite_keys
+
+
+class TestTensorRule:
+    @pytest.mark.parametrize("sizes", [(5,), (3, 4), (2, 5, 3)])
+    def test_layout_matches_nested_loops_bitwise(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        rules = [(rng.normal(size=m), rng.uniform(0.1, 2.0, m)) for m in sizes]
+        nodes, weights = tensor_rule(rules)
+        # C order, last axis fastest; each weight multiplied left to right
+        expected_nodes, expected_weights = [], []
+        for index in itertools.product(*[range(m) for m in sizes]):
+            expected_nodes.append([x[i] for (x, _), i in zip(rules, index)])
+            weight = rules[0][1][index[0]]
+            for (_, w), i in zip(rules[1:], index[1:]):
+                weight = weight * w[i]
+            expected_weights.append(weight)
+        assert nodes.shape == (np.prod(sizes), len(sizes)) and weights.shape == (np.prod(sizes),)
+        assert np.array_equal(nodes, expected_nodes)
+        assert np.array_equal(weights, expected_weights)
+        assert np.array_equal(tensor_nodes([x for x, _ in rules]), nodes)
 
 
 class TestPrunedHermiteTensor:
@@ -45,6 +70,25 @@ class TestPrunedHermiteTensor:
         assert weights.sum() + mass == pytest.approx(np.pi ** (dim / 2.0), rel=1e-13)
         if order == 8:
             assert mass == 0.0 and moment == 0.0 and len(weights) == order**dim
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_matches_pruning_the_full_tensor_bitwise(self, dim):
+        for order in _hermite_keys(dim):
+            # the full rule uncached, so the test leaves no large tensor behind
+            full_nodes, full_weights = hermite_tensor.__wrapped__(order, dim)
+            drop = full_weights <= HERMITE_PRUNE_REL * full_weights.sum()
+            nodes, weights, mass, moment = pruned_hermite_tensor(order, dim)
+            assert np.array_equal(nodes, full_nodes[~drop])
+            assert np.array_equal(weights, full_weights[~drop])
+            radius = np.sqrt(np.einsum("ij,ij->i", full_nodes[drop], full_nodes[drop]))
+            assert mass == pytest.approx(float(full_weights[drop].sum()), rel=1e-14, abs=0.0)
+            assert moment == pytest.approx(float(full_weights[drop] @ radius), rel=1e-14, abs=0.0)
+
+    def test_builds_no_full_tensor(self):
+        hermite_tensor.cache_clear()
+        pruned_hermite_tensor.cache_clear()
+        pruned_hermite_tensor(128, 3)
+        assert hermite_tensor.cache_info().currsize == 0
 
     def test_oracles_keep_the_full_rule(self):
         assert verify.hermite_tensor is hermite_tensor
