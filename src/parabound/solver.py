@@ -116,6 +116,8 @@ _MAX_SIGMA_PANELS = 200
 # Edges in units of 1/sqrt|c| that a decaying reaction adds below the first edge: e^{c sigma^2}
 # confines the integrand to sigma of a few 1/sqrt|c|, and the last edge leaves e^{-64} beyond it
 _DECAY_EDGES = np.array([0.25, 0.5, 1.0, 2.0, 4.0, 8.0])
+# Offsets |x + t b - c| (1 + q) from which a product frame's squares may overflow
+_FAR_OFFSET = 1e150
 
 
 @dataclass(frozen=True)
@@ -171,7 +173,7 @@ def _check_float_range(kernel, t, want_gradient):
         raise FloatOverflow(f"kernel factor e^{log_peak:.6g} overflows float64")
 
 
-def _product_frame(kernel, x, t, center, precision):
+def _product_frame(kernel, x, t, center, precision, leftover=None):
     """The product of the kernel at kernel times t and the data's Gaussian factor exp(-q |y - c|^2).
 
     With q = precision, y - c in A's eigenbasis, z = Q^T (x + t b - c) and
@@ -179,20 +181,63 @@ def _product_frame(kernel, x, t, center, precision):
     density with mean shrink z and variances 2 t lam shrink, where
     log C = 1/2 sum log shrink - q (mean . z). A's eigenvectors diagonalise
     both factors, so no new factorisation is needed. At q = 0 it is the
-    kernel alone: shrink 1 and C 1. t is one kernel time or a 1-D array.
-    Returns c and q, and per time the mean and node scale of y - c, log C,
-    e^{ct} pi^{-n/2} and the node scale of the gradient factor.
+    kernel alone: shrink 1 and C 1. t is one kernel time or a 1-D array, at
+    most the horizon T. Returns c and q, and per time the mean and node
+    scale of y - c, log C, e^{ct} pi^{-n/2} and the node scale of the
+    gradient factor. leftover, (d, sup|phi|, gradient) for data with a
+    Gaussian factor, makes the times far from c an exact 0 where a bound
+    shows the answer negligible (_far_times).
     """
     lam = kernel.dec.eigenvalues
     times = np.asarray(t, dtype=float).reshape(-1, 1, 1)
-    z = (x - center + times * kernel.spec.drift) @ kernel.dec.eigenvectors
+    offset, far = x - center, None
+    # |x - c + t b| <= |(x - c, b)| (1 + T): a bound in scalars shows most frames near
+    if leftover is None or math.hypot(*offset.tolist(), *kernel.spec.drift.tolist()) * (
+            1.0 + kernel.spec.horizon) * (1.0 + precision) < _FAR_OFFSET:
+        offset = offset + times * kernel.spec.drift
+    else:
+        offset, far = _far_times(kernel, offset, times, precision, *leftover)
+    z = offset @ kernel.dec.eigenvectors
     spread_t = times * lam
     shrink = 1.0 / (1.0 + (4.0 * precision) * spread_t)
     mean = shrink * z
     log_mass = 0.5 * np.log(shrink).sum(-1) - precision * (mean * z).sum(-1)
     front = np.exp(kernel.spec.reaction * times[:, 0]) * math.pi ** (-kernel.n / 2.0)
+    if far is not None:
+        front[far] = 0.0
     return (center, precision, mean, np.sqrt(4.0 * spread_t * shrink), log_mass, front,
             np.sqrt(shrink / spread_t))
+
+
+def _far_times(kernel, rel, times, q, degree, sup, gradient):
+    """x - c + t b per kernel time (rel = x - c), 0 at the negligible far times, and their mask.
+
+    A time is far where a coordinate of x - c + t b reaches
+    _FAR_OFFSET / (1 + q), past which the frame's squares may overflow.
+    With P the polynomial beside the factor, |P(w)| <= e sup
+    (1 + 2 sqrt(q) |w|)^d (Chebyshev's growth bound from |w| <= 1/sqrt q),
+    and by Minkowski against the frame's normal law (mean at most
+    r = |x - c + t b| long, sds at most 1/sqrt(2 q)),
+    |u| <= e^{ct} e sup (1 + 4 sqrt(q) r + sqrt(2 (n + D)))^D e^{-a r^2},
+    a = q / (1 + 4 q t lam_max), D = d; grad u has D = d + 1 and a factor
+    1 / (4 sqrt(q) t lam_min). Where a r^2 >= D this falls with r, so its
+    value at rho = min(largest coordinate, _FAR_OFFSET / sqrt q) <= r
+    bounds the answer. A far time bounded below e^-800 (float64 rounds it
+    to 0) answers an exact 0; every other time is computed as it stands.
+    """
+    power, lam, root_q = degree + gradient, kernel.dec.eigenvalues, math.sqrt(q)
+    with np.errstate(over="ignore"):  # past float64 t b is +-inf, and that time far
+        offset = rel + times * kernel.spec.drift
+        reach = np.abs(offset).max(axis=(1, 2))
+        far = ~(reach < _FAR_OFFSET / (1.0 + q))
+        t, rho = times[far, 0, 0], np.minimum(reach[far], _FAR_OFFSET / root_q)
+        decay = q / (1.0 + 4.0 * q * t * lam[-1]) * rho * rho
+        log_bound = (kernel.spec.reaction * t + math.log(sup) + 1.0 - decay
+                     + power * np.log1p(4.0 * root_q * rho + math.sqrt(2.0 * (kernel.n + power)))
+                     - (np.log(4.0 * root_q * t * lam[0]) if gradient else 0.0))
+    far[far] = (decay >= power) & (log_bound < -800.0)
+    offset[far] = 0.0
+    return offset, far
 
 
 def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
@@ -688,7 +733,8 @@ def _route(kernel, data, x, t, want_gradient, sup, tau=None):
         order = (degree + 3) // 2  # exact to degree 2 order - 1 per axis, the gradient's included
         if order > 256 or order**kernel.n > _MAX_TENSOR_NODES:
             raise QuadratureFailure(f"degree {degree} needs Hermite order {order}, over the budget")
-        frame = _product_frame(kernel, x, t, np.asarray(center), 0.25 / spread)
+        frame = _product_frame(kernel, x, t, np.asarray(center), 0.25 / spread,
+                               (degree, sup, want_gradient))
         return _closed(_hermite_pass(kernel, data, frame, order, want_gradient, sup))
     elif isinstance(data, ConstantData):
         return _closed(_constant_pass(kernel, data.value, t, want_gradient))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
@@ -115,7 +115,7 @@ def _rotation_to_axis(v: np.ndarray) -> np.ndarray:
     return np.eye(n) - 2.0 * np.outer(w, w)
 
 
-def _directional_kink_frame(kernel: FundamentalSolution, direction: np.ndarray, t: float):
+def _directional_kink_frame(kernel: FundamentalSolution, direction: np.ndarray):
     """Rotated frame for integrating |(grad G, l)|^q over R^n, n >= 2.
 
     Returns (Q, conditional_shift, conditional_chol): in z = Q^T (y + t b)
@@ -138,28 +138,28 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
     """Integral over R^n of |(grad G(y, t), l)|^{p'} dy, by quadrature.
 
     The outer variable runs along the direction where the integrand
-    changes sign (Gauss-Legendre panels graded toward that split); the
-    remaining coordinates are integrated by Gauss-Hermite against the
-    kernel's conditional Gaussian, of order 32 for p' <= 2 and 96 above,
-    where the integrand's Gaussian is narrower than the rule's weight.
-    Kernel gradients enter as black-box point evaluations, at n >= 2 in row
-    blocks of the outer nodes (row_blocks). t may also be an array of
-    times, with one integral per time: at n = 1 they take one kernel call
-    (callers hand in times a block at a time), at n >= 2 one pass each.
+    changes sign, on the window rule (_window_rule) scaled by the time's
+    sigma; the remaining coordinates are integrated by Gauss-Hermite
+    against the kernel's conditional Gaussian, of order 32 for p' <= 2 and
+    96 above, where the integrand's Gaussian is narrower than the rule's
+    weight. Kernel gradients enter as black-box point evaluations, at
+    n >= 2 in row blocks of the outer nodes (row_blocks). t may also be an
+    array of times, with one integral per time: at n = 1 they take one
+    window pass (_window_integral; callers hand in times a block at a
+    time), at n >= 2 one pass each.
     """
     n = kernel.n
     if n > ORACLE_MAX_DIM:
         raise UnsupportedData(f"gradient norm oracle supports n <= {ORACLE_MAX_DIM}")
     ell = np.asarray(direction, dtype=float).reshape(n)
     if n == 1:
-        out = _grad_power_integral_1d(kernel, p_conj, ell, np.atleast_1d(t))
+        out = _window_integral(kernel, ell, np.atleast_1d(t), lambda k: np.abs(k, out=k) ** p_conj)
         return out if np.ndim(t) else float(out[0])
     if np.ndim(t):
         return np.array([kernel_grad_power_integral(kernel, p_conj, ell, s) for s in t])
-    q_rot, shift, chol = _directional_kink_frame(kernel, ell, t)
+    q_rot, shift, chol = _directional_kink_frame(kernel, ell)
     sigma = 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
-    radius = TRUNCATION_RADIUS * sigma
-    z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,)), order=12)
+    z1, w1 = (sigma * part for part in _window_rule())
     xi, wx = hermite_tensor(32 if p_conj <= 2.0 else 96, n - 1)
     qx = np.einsum("ij,ij->i", xi, xi)
     total_wx = np.exp(np.log(wx) + qx)
@@ -180,8 +180,9 @@ def kernel_grad_power_integral(kernel: FundamentalSolution, p_conj: float, direc
 def _window_rule():
     """Order-12 Gauss-Legendre panels on +- TRUNCATION_RADIUS, graded toward 0.
 
-    The n = 1 oracles scale it by each kernel time's sigma onto the window
-    around the kernel's center, where their integrands change sign.
+    Every gradient oracle scales it by a kernel time's sigma onto the
+    window where its integrand changes sign: the n = 1 window pass
+    (_window_integral), and the outer coordinate at n >= 2.
     """
     edges = panel_edges(-TRUNCATION_RADIUS, TRUNCATION_RADIUS, kinks=(0.0,))
     nodes, weights = panel_nodes(edges, order=12)
@@ -190,13 +191,21 @@ def _window_rule():
     return nodes, weights
 
 
-def _grad_power_integral_1d(kernel, p_conj, ell, t):
-    """kernel_grad_power_integral at n = 1 for an array of times, in one kernel call."""
+def _window_integral(kernel, ell, eta, integrand):
+    """Integral over y of integrand(k), k = (grad G(x0 - y, eta), l), at n = 1 per time of eta.
+
+    eta is a 1-D array of kernel times; the window rule scaled by each
+    time's sigma runs in one kernel call. The offsets x0 - y = sigma z -
+    eta b of the nodes y = x0 + eta b - sigma z are formed directly: at
+    eta ~ 1e-20 the window is ~1e-10 wide, and y itself would round to
+    ulp(x0). integrand maps the array of k to the values to integrate; it
+    may overwrite k in place, one block-sized temporary fewer.
+    """
     z, w = _window_rule()
-    sigma = 2.0 * np.sqrt(t * float(kernel.dec.eigenvalues[-1]))
-    pts = np.outer(sigma, z) - (t * kernel.spec.drift[0])[:, None]
-    vals = np.abs(np.dot(kernel.gradient(pts.reshape(-1, 1), np.repeat(t, z.size)), ell)) ** p_conj
-    return sigma * (vals.reshape(pts.shape) @ w)
+    sigma = 2.0 * np.sqrt(eta * float(kernel.dec.eigenvalues[-1]))
+    offsets = np.outer(sigma, z) - (eta * kernel.spec.drift[0])[:, None]
+    k = np.dot(kernel.gradient(offsets.reshape(-1, 1), np.repeat(eta, z.size)), ell)
+    return sigma * (integrand(k).reshape(offsets.shape) @ w)
 
 
 def kernel_grad_norm_oracle(kernel, p_conj, direction, t) -> float:
@@ -214,7 +223,7 @@ def _spacetime_power_integral(kernel, p_conj, t, integrand_power):
     an array of the nodes' kernel times and returns the spatial integral at
     each. It is handed the nodes in row blocks (row_blocks) sized for one
     window rule (_window_rule) of kernel rows per node, which is what the
-    n = 1 integrands evaluate.
+    n = 1 window pass (_window_integral) evaluates.
     """
     n = kernel.n
     s = 0.5 * (n * (p_conj - 1.0) + p_conj)
@@ -235,12 +244,8 @@ def spacetime_grad_norm_oracle(kernel, p_conj, direction, t) -> float:
     """L^{p'} norm over R^n x (0, t) of the directional kernel gradient."""
     if kernel.n > 2:
         raise UnsupportedData("spacetime gradient norm oracle supports n <= 2")
-
-    def spatial(eta):
-        return kernel_grad_power_integral(kernel, p_conj, direction, eta)
-
-    total = _spacetime_power_integral(kernel, p_conj, t, spatial)
-    return total ** (1.0 / p_conj)
+    spatial = partial(kernel_grad_power_integral, kernel, p_conj, direction)
+    return _spacetime_power_integral(kernel, p_conj, t, spatial) ** (1.0 / p_conj)
 
 
 @dataclass(frozen=True)
@@ -307,6 +312,11 @@ class ExtremalInitialData(SourceFunction):
     phi*(y) = -sign(k(y)) |k(y)|^{p'-1} / Z with k(y) = (grad G(x0-y, t0), l)
     and Z chosen so the L^p norm is 1; for p = inf the power drops out and
     the profile is -sign(k) (or -tanh(k/mollify) when mollified).
+
+    The sup is a closed form, computed once: |phi*| increases with |k|, and
+    |k| peaks along l, at |A^{-1/2}(x0 - y + t0 b)| = sqrt(2 t0), where it
+    is e^{log_prefactor(t0)} |A^{-1/2} l| / sqrt(2 e t0). Finite-p norms
+    (n = 1) take the window pass of the normalizer (_window_integral).
     """
 
     def __init__(self, kernel, target: ExtremalTarget, normalizer: float):
@@ -314,6 +324,10 @@ class ExtremalInitialData(SourceFunction):
         self.target = target
         self.normalizer = normalizer
         self.n = kernel.n
+        v = kernel.inv_sqrt @ np.asarray(target.direction)
+        peak = (math.exp(kernel.log_prefactor(target.t0)) * math.sqrt(v @ v)
+                / math.sqrt(2.0 * math.e * target.t0))
+        self._sup = float(abs(_extremal_values(target, normalizer, peak)))
 
     def __call__(self, pts):
         return _extremal_profile(self.kernel, self.target, self.normalizer, pts, self.target.t0)
@@ -324,31 +338,20 @@ class ExtremalInitialData(SourceFunction):
         # the kernel gradient changes sign where x0 - y + t0 b = 0
         return (self.target.x0[0] + self.target.t0 * self.kernel.spec.drift[0],)
 
-    def _scan_points(self):
-        center = np.asarray(self.target.x0) + self.target.t0 * self.kernel.spec.drift
-        sigma = 2.0 * math.sqrt(self.target.t0 * float(self.kernel.dec.eigenvalues[-1]))
-        offsets = np.linspace(-8.0, 8.0, 4001)
-        ell = np.asarray(self.target.direction)
-        return center[None, :] + sigma * np.outer(offsets, ell)
-
     def sup_norm(self):
-        if self.target.p == math.inf and self.target.mollify == 0:
-            return 1.0  # -sign(k); the solver asks for this on every evaluation
-        # |phi*| increases with |k|, so the scan along l through the peak finds its sup
-        return float(np.abs(self(self._scan_points())).max())
+        return self._sup
 
     def lp_norm(self, p):
         if p == math.inf:
-            return self.sup_norm()
+            return self._sup
         if self.n != 1:
             raise UnsupportedData("extremal data norms are quadrature-based only for n = 1")
-        center = self.target.x0[0] + self.target.t0 * self.kernel.spec.drift[0]
-        sigma = 2.0 * math.sqrt(self.target.t0 * float(self.kernel.dec.eigenvalues[-1]))
-        nodes, w = panel_nodes(
-            panel_edges(center - 14 * sigma, center + 14 * sigma, kinks=self.kinks_1d())
+        target = self.target
+        power = _window_integral(
+            self.kernel, np.asarray(target.direction), np.array([target.t0]),
+            lambda k: np.abs(_extremal_values(target, self.normalizer, k)) ** p,
         )
-        vals = np.abs(self(nodes[:, None])) ** p
-        return float(w @ vals) ** (1.0 / p)
+        return float(power[0]) ** (1.0 / p)
 
 
 def extremal_initial_data(kernel, target: ExtremalTarget) -> ExtremalInitialData:
@@ -370,8 +373,7 @@ def attainment_ratio_hom(kernel, target: ExtremalTarget,
     ell = np.asarray(target.direction)
     grad = gradient_homogeneous(kernel, data, np.asarray(target.x0), target.t0, quad)
     coeff = sharp_coefficient_hom(kernel, target.p, target.t0, ell).value
-    norm = data.lp_norm(target.p) if target.p != math.inf else data.sup_norm()
-    return float(abs(grad @ ell) / (coeff * norm))
+    return float(abs(grad @ ell) / (coeff * data.lp_norm(target.p)))
 
 
 class ExtremalForcing(SpaceTimeSource):
@@ -432,10 +434,8 @@ def extremal_forcing(kernel, target: ExtremalTarget) -> ExtremalForcing:
     if not target.p > n + 2:
         raise DomainError(f"nonhomogeneous extremal requires p > n + 2 = {n + 2}")
     pc = conjugate_exponent(target.p)
-    power = _spacetime_power_integral(
-        kernel, pc, target.t0,
-        lambda eta: kernel_grad_power_integral(kernel, pc, target.direction, eta),
-    )
+    spatial = partial(kernel_grad_power_integral, kernel, pc, target.direction)
+    power = _spacetime_power_integral(kernel, pc, target.t0, spatial)
     return ExtremalForcing(kernel, target, normalizer=power ** (1.0 / target.p))
 
 
@@ -456,18 +456,8 @@ def attainment_ratio_nonhom(kernel, target: ExtremalTarget,
         grad = gradient_nonhomogeneous(kernel, forcing, np.asarray(target.x0), target.t0, quad)
         return float(abs(grad @ ell) / (coeff * forcing.lp_norm(math.inf, target.t0)))
     pc = conjugate_exponent(target.p)
-
-    nodes, w = _window_rule()
-
-    def spatial(eta):
-        # the offsets x0 - y of the nodes y = x0 + eta b + sigma z, formed directly: at
-        # eta ~ 1e-20 the window is ~1e-10 wide, and y itself would round to ulp(x0)
-        sigma = 2.0 * np.sqrt(eta * float(kernel.dec.eigenvalues[-1]))
-        offsets = -(np.outer(sigma, nodes) + (eta * kernel.spec.drift[0])[:, None])
-        k_vals = np.dot(kernel.gradient(offsets.reshape(-1, 1), np.repeat(eta, nodes.size)), ell)
-        f_vals = _extremal_values(target, forcing.normalizer, k_vals)
-        return sigma * ((k_vals * f_vals).reshape(offsets.shape) @ w)
-
+    spatial = partial(_window_integral, kernel, ell,
+                      integrand=lambda k: k * _extremal_values(target, forcing.normalizer, k))
     integral = _spacetime_power_integral(kernel, pc, target.t0, spatial)
     return float(abs(integral) / (coeff * forcing.lp_norm(target.p, target.t0)))
 

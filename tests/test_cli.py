@@ -217,6 +217,28 @@ class TestOverflow:
             row = capsys.readouterr().out.splitlines()[2].split(",")
             assert [float(v) for v in row[n + 1:]] == [0.0] * (n + 1)
 
+    @pytest.mark.parametrize("kind", ["hom", "nonhom"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("data", ["gaussian", "polygauss"])
+    def test_gaussian_far_field_is_zero_without_warnings(self, capsys, data, kind, n):
+        # the box test's inputs, and x = 1e160 (1, ..., 1): the product of kernel and
+        # Gaussian factor is some 1e300 sds away, its mass bound underflows, and u and
+        # grad u are exactly 0 with no offset squared beyond float64
+        a = (np.eye(n) + 0.3) / 1.3
+        spec_data = ("gaussian:spread=1" if data == "gaussian"
+                     else f"polygauss:spread=1,powers={' '.join(['1'] * n)}")
+        for drift, x, t in ((-1e300, 0.0, 1), (1e308, 0.0, 7), (0.0, 1e160, 1)):
+            b = [0.0] * n
+            b[n - 1] = drift
+            spec = json.dumps({"n": n, "A": a.tolist(), "b": b, "c": 0, "T": 8})
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code = run_cli(["solve", "--spec-json", spec, "--kind", kind, "--data", spec_data,
+                                "--points", ",".join([repr(x)] * n + [str(t)])])
+            assert code == 0
+            row = capsys.readouterr().out.splitlines()[2].split(",")
+            assert [float(v) for v in row[n + 1:]] == [0.0] * (n + 1)
+
     @pytest.mark.parametrize("data", ["constant:value=1e300", "box:lo=-1,hi=1,amp=1e300"])
     def test_solve_answer_beyond_float64(self, capsys, data):
         # e^{ct} = e^700 and sup|phi| = 1e300 fit, their product does not

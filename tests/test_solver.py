@@ -317,6 +317,35 @@ class TestPrunedRule:
         assert bump.sizes == [1]
 
 
+class TestFarField:
+    @pytest.mark.parametrize("x, spread", [(1e151, 1e307), (1e160, 1e300), (1e160, 1.0)])
+    def test_gaussian_far_from_its_center_matches_closed_form(self, x, spread):
+        # the heat kernel on spread s: u = (s / (s + t))^{1/2} exp(-x^2 / (4 (s + t))), and
+        # du/dx = -x u / (2 (s + t)); at 1e151 the wide bump is far but its u near 1, so the
+        # frame computes it as it stands, while at 1e160 its bound says 0
+        data = GaussianBump(center=(0.0,), spread=spread)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = sv.solve_homogeneous(HEAT_1D, data, np.array([x]), 1.0)
+            du = sv.gradient_homogeneous(HEAT_1D, data, np.array([x]), 1.0)[0]
+        width = spread + 1.0
+        z = min(x / (2.0 * math.sqrt(width)), 40.0)  # exp(-40^2) is 0 in float64
+        u_ref = math.sqrt(spread / width) * math.exp(-z * z)
+        assert u == pytest.approx(u_ref, rel=1e-12, abs=0.0)
+        assert du == pytest.approx(-x * u_ref / (2.0 * width), rel=1e-12, abs=0.0)
+        assert (u == 0.0) == (x == 1e160)
+
+    def test_far_times_of_a_sigma_panel_answer_zero(self):
+        # a drift of 3e149 takes the late kernel times of the Duhamel rule past the far
+        # limit and leaves the early ones near: their sum is 0 without a warning
+        k = make_kernel([[1.0]], [3e149], 0.0)
+        forcing = TimeInvariantForcing(PolynomialGaussian(center=(0.0,), spread=1.0, powers=(2,)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sv.solve_nonhomogeneous(k, forcing, np.zeros(1), 8.0) == 0.0
+            assert sv.gradient_nonhomogeneous(k, forcing, np.zeros(1), 8.0).tolist() == [0.0]
+
+
 class TestGridSolve:
     def _grid_1d(self, h=0.01, half=6.0):
         xs = np.arange(-half, half + h / 2, h)

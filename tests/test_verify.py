@@ -160,7 +160,39 @@ class TestExtremalInitialData:
         k = random_kernel(rng, 1)
         target = vf.ExtremalTarget(x0=(0.1,), t0=0.7, p=p, direction=(1.0,))
         data = vf.extremal_initial_data(k, target)
-        assert data.lp_norm(p) == pytest.approx(1.0, abs=1e-8)
+        assert data.lp_norm(p) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("p, mollify", [(2.0, 0.0), (4.0, 0.0), (math.inf, 0.3),
+                                            (math.inf, 0.0)], ids=["p2", "p4", "pinf_mol", "pinf"])
+    def test_closed_form_sup_bounds_a_fine_scan(self, n, p, mollify):
+        # |phi*| along l through the peak, at 40001 points over +-8 sds of the kernel
+        rng = np.random.default_rng(60 + n)
+        for _ in range(3):
+            k = random_kernel(rng, n)
+            ell = vf.random_unit_vector(rng, n)
+            target = vf.ExtremalTarget(x0=tuple(rng.uniform(-1, 1, n)),
+                                       t0=float(rng.uniform(0.2, 2.0)), p=p,
+                                       direction=tuple(ell), mollify=mollify)
+            data = vf.ExtremalInitialData(k, target, normalizer=float(rng.uniform(0.5, 2.0)))
+            center = np.asarray(target.x0) + target.t0 * k.spec.drift
+            sigma = 2.0 * math.sqrt(target.t0 * float(k.dec.eigenvalues[-1]))
+            scan = np.abs(data(center + sigma * np.outer(np.linspace(-8.0, 8.0, 40001), ell))).max()
+            assert scan <= data.sup_norm() <= scan * (1.0 + 1e-6)
+
+    def test_sup_calls_no_kernel_method(self, monkeypatch):
+        rng = np.random.default_rng(61)
+        data = [vf.ExtremalInitialData(random_kernel(rng, n),
+                                       vf.ExtremalTarget(x0=(0.1,) * n, t0=0.7, p=4.0,
+                                                         direction=(1.0,) + (0.0,) * (n - 1)),
+                                       normalizer=1.3) for n in (1, 2, 3)]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sup_norm evaluated the kernel")
+
+        for method in ("value", "gradient", "log_prefactor"):
+            monkeypatch.setattr(FundamentalSolution, method, forbidden)
+        assert all(0.0 < d.sup_norm() == d.lp_norm(math.inf) < math.inf for d in data)
 
     def test_mollified_sup_below_one(self):
         target = vf.ExtremalTarget(x0=(0.0,), t0=1.0, p=math.inf, direction=(1.0,), mollify=0.1)
@@ -454,7 +486,7 @@ def one_pass_spacetime_norm(kernel, p_conj, t):
 def one_pass_grad_power(kernel, p_conj, ell, t):
     """kernel_grad_power_integral at n >= 2 with every outer node in one kernel call."""
     n = kernel.n
-    q_rot, shift, chol = vf._directional_kink_frame(kernel, ell, t)
+    q_rot, shift, chol = vf._directional_kink_frame(kernel, ell)
     radius = TRUNCATION_RADIUS * 2.0 * math.sqrt(t * float(kernel.dec.eigenvalues[-1]))
     z1, w1 = panel_nodes(panel_edges(-radius, radius, kinks=(0.0,)), order=12)
     xi, wx = hermite_tensor(32 if p_conj <= 2.0 else 96, n - 1)
