@@ -13,7 +13,8 @@ kernel frame, which take one time at a time:
   exp(-q |y - center|^2), q = 1/(4 spread), whose precision shares A's
   eigenvectors (the adaptive Gauss-Hermite of Liu & Pierce, Biometrika 81,
   1994). One pass of order (d + 3) // 2 integrates the polynomial left
-  over, of total degree d, exactly for u and grad u: a closed form.
+  over exactly, of total degree d for u and d + 1 for grad u = G * grad phi:
+  a closed form, with no 1/sqrt(t) factor and no cancellation.
 - Constant data v takes the closed form u = v e^{ct}, grad u = 0.
 - Box data amp 1[lo, hi] gives u = e^{ct} amp P(lo <= Y <= hi) with
   Y ~ N(x + t b, 2 t A), in units of the sds of Y (_standard). At n = 1
@@ -43,9 +44,7 @@ kernel frame, which take one time at a time:
   Orders 48 and 64 are compared, doubled up to 256 on a miss. The rule
   drops the nodes of product weight at most 1e-18 of the total (Jaeckel
   2005), and a bound on what they would add joins the error estimate.
-
-Either way the gradient sums over +-xi node pairs, so it is exactly 0 for
-constant-valued data; the exact pass bounds their roundoff (~ 1/sqrt t).
+  Its grad u sums over +-xi node pairs: exactly 0 for constant-valued data.
 
 Nonhomogeneous problem: Duhamel integral over kernel times t - tau. The
 substitution t - tau = sigma^2 removes the (t - tau)^{-1/2} endpoint
@@ -245,15 +244,14 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
 
     The rule integrates what is left of the data, phi times
     exp(q |y - c|^2): for Gaussian and polygauss data a polynomial of total
-    degree d, which order m integrates exactly, with the gradient's extra
-    degree, once 2m - 1 >= d + 1; at q = 0 phi itself. The data is
-    evaluated once for all the frame's times and the results are stacked by
-    time. Returns the values (or gradients) and bounds on what the rule
-    leaves out. Only a leftover with a known finite sup (q = 0, sup|phi|
-    finite) takes the pruned rule (pruned_hermite_tensor), with the bound
-    front sup mass, or front sup moment ||A^{-1/2}||_2 / sqrt(t) for the
-    gradient; otherwise the full rule runs, with bound 0, but the exact
-    rule's gradient (q > 0) bounds the roundoff of its +-xi pairs. With
+    degree d, or d + 1 for grad u = G * grad phi, which order m integrates
+    exactly once 2m - 1 >= d + 1; at q = 0 phi itself, with grad u summed
+    over +-xi node pairs. The data is evaluated once for all the frame's
+    times, stacked by time. Returns the values (or gradients) and bounds on
+    what the rule leaves out. Only a leftover with a known finite sup
+    (q = 0, sup|phi| finite) takes the pruned rule (pruned_hermite_tensor),
+    with the bound front sup mass, or front sup moment ||A^{-1/2}||_2 /
+    sqrt(t) for the gradient; otherwise the full rule, with bound 0. With
     tau the data is a forcing, taken at that one time.
     """
     center, precision, mean, scale, log_mass, front, grad_scale = frame
@@ -271,24 +269,22 @@ def _hermite_pass(kernel, data, frame, order, want_gradient, sup, tau=None):
         # the same nodes y = c + Q (mean + scale xi), with one pass over the large rule
         nodes = xi @ (scale.swapaxes(1, 2) * vecs.T) + (mean @ vecs.T + center)
     pts = nodes.reshape(-1, kernel.n)
+    if precision and want_gradient:
+        return (front * np.einsum("tk,tkj->tj", w, data.gradient(pts).reshape(nodes.shape)),
+                np.zeros(len(front)))
     vals = w * (data(pts) if tau is None else data(pts, tau)).reshape(nodes.shape[:-1])
     if want_gradient:
-        # A^{-1}(x + t b - y) / (2 t) in the eigenbasis is 2 q mean - grad_scale xi; node k
-        # and node N-1-k are negatives, so the xi part sums xi (v(xi) - v(-xi)) over pairs
+        # grad_x G / G = A^{-1}(y - x - t b) / (2 t) is grad_scale xi in the eigenbasis; node k
+        # and node N-1-k are negatives, so the sum runs over xi (v(xi) - v(-xi)) pairs
         half = len(xi) // 2
         pairs = (vals[:, :half] - vals[:, :-half - 1:-1]) @ xi[:half]
-        shift = (2.0 * precision) * mean[:, 0] * vals.sum(1, keepdims=True)
-        out = (front * (grad_scale[:, 0] * pairs - shift)) @ vecs.T
+        out = (front * (grad_scale[:, 0] * pairs)) @ vecs.T
     else:
         out = front[:, 0] * vals.sum(1)
     dropped = np.zeros(len(out))
     if mass:
         # sup|phi| times the dropped weight; the gradient's |xi| ||A^{-1/2}||_2 / sqrt(t) on top
         dropped = front[:, 0] * sup * (moment * grad_scale.max(-1)[:, 0] if want_gradient else mass)
-    elif want_gradient and precision and order > 1:
-        # no rung checks the exact rule: bound the pairs' roundoff, eps |v| times grad_scale |xi|
-        rounding = grad_scale[:, 0] * (np.abs(vals) @ np.abs(xi))
-        dropped = front[:, 0] * (np.finfo(float).eps * np.sqrt((rounding * rounding).sum(-1)))
     return out, dropped
 
 

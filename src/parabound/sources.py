@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, FloatOverflow, MalformedGridFile
+from .errors import DomainError, FloatOverflow, MalformedGridFile, UnsupportedData
 from .mathcore import LOG_FLOAT_MAX
 from .quadrature import tensor_nodes
 
@@ -28,12 +28,12 @@ class SourceFunction:
     Custom data implements n, __call__ (points of shape (m, n) to m
     values) and lp_norm; sup_norm() should be finite, since it bounds what
     the pruned Gauss-Hermite rule leaves out and floors the error scale.
-    It may name its kinks (kinks_1d) or a Gaussian factor
-    (gaussian_factor). Other custom data takes Gauss-Hermite in the
-    kernel's frame, which samples it at the rule's nodes only: a feature
-    narrower than their spacing (about 0.28 sqrt(t lam) along an
-    eigenvector of A with eigenvalue lam, at order 256) can be missed with
-    no error raised.
+    It may name its kinks (kinks_1d), or a Gaussian factor
+    (gaussian_factor) with its gradient (gradient, for grad u). Other
+    custom data takes Gauss-Hermite in the kernel's frame, which samples
+    it at the rule's nodes only: a feature narrower than their spacing
+    (about 0.28 sqrt(t lam) along an eigenvector of A with eigenvalue lam,
+    at order 256) can be missed with no error raised.
     """
 
     n: int
@@ -51,13 +51,18 @@ class SourceFunction:
         """Locations (n = 1 only) where the data is not smooth; default none."""
         return ()
 
+    def gradient(self, pts: np.ndarray) -> np.ndarray:
+        """grad phi at points of shape (m, n), as (m, n); required with a gaussian_factor."""
+        raise UnsupportedData(
+            f"{type(self).__name__} declares gaussian_factor but provides no gradient")
+
     def gaussian_factor(self):
         """(center, spread, degree) when phi is exp(-|y - center|^2 / (4 spread))
         times a polynomial of total degree at most degree, else None (the default).
 
-        The solvers integrate its product with the kernel by one unchecked
-        Gauss-Hermite rule, exact for that total degree (not the largest power:
-        A's eigenframe mixes the axes). A (center, spread) pair fails to unpack.
+        The solvers integrate it and gradient() against the kernel by one
+        unchecked Gauss-Hermite rule, exact to total degree + 1 (not the
+        largest power: A's eigenframe mixes the axes). A 2-tuple fails to unpack.
         """
         return None
 
@@ -99,6 +104,10 @@ class GaussianBump(SourceFunction):
         pts = _as_points(pts, self.n)
         d = pts - np.asarray(self.center)
         return self.amp * np.exp(-np.einsum("ij,ij->i", d, d) / (4.0 * self.spread))
+
+    def gradient(self, pts):
+        d = _as_points(pts, self.n) - np.asarray(self.center)
+        return self(pts)[:, None] * d * (-0.5 / self.spread)
 
     def lp_norm(self, p):
         if p == math.inf:
@@ -175,6 +184,19 @@ class PolynomialGaussian(SourceFunction):
             if k:
                 poly = poly * d[:, j] ** k
         return self.amp * poly * np.exp(-np.einsum("ij,ij->i", d, d) / (4.0 * self.spread))
+
+    def gradient(self, pts):
+        """Per axis, (d^k e^{-d^2/(4 spread)})' times the other axes' d^k, as (m, n)."""
+        d = _as_points(pts, self.n) - np.asarray(self.center)
+        factor = self.amp * np.exp(-np.einsum("ij,ij->i", d, d) / (4.0 * self.spread))
+        parts = [d[:, j] ** k for j, k in enumerate(self.powers)]
+        out = factor[:, None] * d * (-0.5 / self.spread)
+        for j, k in enumerate(self.powers):
+            # the factor before the extra degree: d^(k + 1) alone overflows where it is 0
+            out[:, j] = out[:, j] * parts[j] + (k * factor * d[:, j] ** (k - 1) if k else 0.0)
+            for part in parts[:j] + parts[j + 1:]:
+                out[:, j] *= part
+        return out
 
     def lp_norm(self, p):
         """The L^p norm in closed form, in logs: FloatOverflow only where it exceeds float64."""

@@ -1,6 +1,7 @@
 """Tests for data presets, grid sampling/interpolation and the grid file format."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -102,6 +103,63 @@ class TestPresets:
             with pytest.raises(DomainError):
                 make()
         assert BoxIndicator(lo=(-math.inf,), hi=(math.inf,)).sup_norm() == 1.0
+
+
+def _points_with_centre_rows(rng, center):
+    """Random points around center, a row at the centre and rows with one axis on it."""
+    n = len(center)
+    pts = center + rng.uniform(-2.0, 2.0, (6, n))
+    on_axis = center + rng.uniform(-2.0, 2.0, (n, n))
+    on_axis[np.arange(n), np.arange(n)] = center
+    return np.vstack([pts, [center], on_axis])
+
+
+class TestGradient:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_gaussian_gradient_matches_closed_form(self, n):
+        rng = np.random.default_rng(70 + n)
+        center = rng.uniform(-1.0, 1.0, n)
+        g = GaussianBump(center=tuple(center), spread=0.7, amp=-1.3)
+        pts = _points_with_centre_rows(rng, center)
+        d = pts - center
+        exact = -1.3 * np.exp(-(d * d).sum(1) / 2.8)[:, None] * (-d / 1.4)
+        grad = g.gradient(pts)
+        assert grad.shape == (len(pts), n)
+        assert np.allclose(grad, exact, rtol=1e-14, atol=0.0)
+        assert np.all(grad[6] == 0.0)
+
+    @pytest.mark.parametrize("powers", [(0,), (1,), (3,), (1, 0), (2, 1), (0, 2, 1), (1, 1, 0),
+                                        (3, 0, 2)])
+    def test_polygauss_gradient_matches_the_product_rule(self, powers):
+        # d/dy_j of amp prod_i d_i^k_i e^{-|d|^2 / (4 s)}: the factor's derivative
+        # -d_j / (2 s), plus k_j d_j^(k_j - 1) from the monomial when k_j > 0
+        n = len(powers)
+        rng = np.random.default_rng(sum(powers) + 10 * n)
+        center = rng.uniform(-1.0, 1.0, n)
+        pg = PolynomialGaussian(center=tuple(center), spread=0.6, powers=powers, amp=0.9)
+        pts = _points_with_centre_rows(rng, center)
+        grad = pg.gradient(pts)
+        assert grad.shape == (len(pts), n)
+        for row, y in zip(grad, pts):
+            d = [float(v) for v in y - center]
+            factor = 0.9 * math.exp(-sum(v * v for v in d) / 2.4)
+            for j in range(n):
+                others = math.prod(d[i] ** powers[i] for i in range(n) if i != j)
+                own = -d[j] ** (powers[j] + 1) / 1.2
+                if powers[j]:
+                    own += powers[j] * d[j] ** (powers[j] - 1)
+                assert row[j] == pytest.approx(factor * others * own, rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("powers", [(2,), (2, 0), (0, 2), (2, 0, 0), (0, 0, 2)])
+    def test_polygauss_gradient_far_out_is_zero_without_a_warning(self, powers):
+        # d^3 = 1e444 overflows float64, but the factor e^{-|d|^2 / 4} is 0 first
+        pg = PolynomialGaussian(center=(0.0,) * len(powers), spread=1.0, powers=powers)
+        pts = np.full((2, len(powers)), 1e148)
+        pts[1] *= -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(pg(pts) == 0.0)
+            assert np.all(pg.gradient(pts) == 0.0)
 
 
 class TestGridData:
